@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -56,6 +57,30 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], config: dict | None = N
         f.write(bytes(blob))
 
 
+def _is_count(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
+def _layout(path, index: int, entry) -> tuple[str, np.dtype, tuple[int, ...], int, int]:
+    """Validated ``(name, dtype, shape, start, end)`` of one manifest entry."""
+    if not isinstance(entry, dict):
+        raise CheckpointError(f"{path}: tensor entry {index} is not a JSON object")
+    missing = [k for k in ("name", "shape", "dtype", "byte_offset") if k not in entry]
+    if missing:
+        raise CheckpointError(f"{path}: tensor entry {index} lacks {', '.join(missing)}")
+    name, tag, shape, start = entry["name"], entry["dtype"], entry["shape"], entry["byte_offset"]
+    if not isinstance(name, str):
+        raise CheckpointError(f"{path}: tensor entry {index} has a non-string name {name!r}")
+    dtype = _DTYPES.get(tag) if isinstance(tag, str) else None
+    if dtype is None:
+        raise CheckpointError(f"{path}: tensor {name!r}: unsupported dtype {tag!r}")
+    if not isinstance(shape, list) or not all(_is_count(d) for d in shape):
+        raise CheckpointError(f"{path}: tensor {name!r}: shape {shape!r} is not a list of counts")
+    if not _is_count(start):
+        raise CheckpointError(f"{path}: tensor {name!r}: byte_offset {start!r} is not a count")
+    return name, dtype, tuple(shape), start, start + math.prod(shape) * dtype.itemsize
+
+
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     """Read back ``(arrays, config)``; values are bit-exact."""
     raw = Path(path).read_bytes()
@@ -68,19 +93,15 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         manifest = json.loads(raw[8:8 + mlen].decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as e:
         raise CheckpointError(f"{path}: bad manifest: {e}") from e
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("tensors"), list):
+        raise CheckpointError(f"{path}: manifest has no tensor list")
     blob = raw[8 + mlen:]
     arrays = {}
-    for entry in manifest["tensors"]:
-        dtype = _DTYPES.get(entry["dtype"])
-        if dtype is None:
-            raise CheckpointError(f"{path}: unsupported dtype {entry['dtype']!r}")
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["byte_offset"]
-        end = start + count * dtype.itemsize
+    for index, entry in enumerate(manifest["tensors"]):
+        name, dtype, shape, start, end = _layout(path, index, entry)
         if end > len(blob):
-            raise CheckpointError(f"{path}: tensor {entry['name']!r} overruns blob")
-        arrays[entry["name"]] = np.frombuffer(blob[start:end], dtype=dtype).reshape(shape).copy()
+            raise CheckpointError(f"{path}: tensor {name!r} overruns blob")
+        arrays[name] = np.frombuffer(blob[start:end], dtype=dtype).reshape(shape).copy()
     return arrays, manifest.get("config", {})
 
 

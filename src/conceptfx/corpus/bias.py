@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable
 
 from .types import (BIAS_VERSIONS, CorpusBundle, CorpusError, Example,
@@ -47,7 +48,7 @@ def apply_ratio_bias(bundle: CorpusBundle, score: Callable[[Example], float],
     kept_ids = {e.id for e in (*train, *dev, *test)}
     pairs = [p for p in bundle.pairs if p.factual.id in kept_ids]
 
-    meta = type(bundle.meta)(**{**bundle.meta.__dict__, "bias_version": version})
+    meta = replace(bundle.meta, bias_version=version)
     out = CorpusBundle(train=train, dev=dev, test=test, pairs=pairs, meta=meta)
     # Deletion shifts the split fractions slightly; everything else must hold.
     for split_name in ("train", "dev", "test"):

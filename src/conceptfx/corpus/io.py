@@ -5,8 +5,8 @@ label_names, domains, provenance}``; every following line is one example
 ``{id, pair_id, split, label, domain, concepts, tokens}`` with tokens encoded
 as ``{"t": surface, "s": slot}``.  Keys are emitted in exactly this order and
 surfaces are lowercase UTF-8, so identical bundles serialize to identical
-bytes.  Counterfactual twins are stored with ``split="cf"`` and ids of the
-form ``<factual-id>~cf~<concept>``.
+bytes.  Counterfactual twins are stored with ``split="cf"`` under the ids
+that ``types.twin`` gives them.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import json
 from pathlib import Path
 
 from .types import (BundleMeta, CorpusBundle, CorpusError, Example,
-                    ExamplePair, SLOT_KINDS, TaggedToken)
+                    ExamplePair, SLOT_KINDS, TaggedToken, twin_origin)
 
 SCHEMA_VERSION = 1
 
@@ -63,6 +63,8 @@ def write_jsonl(bundle: CorpusBundle, path) -> None:
 
 def _parse_example(record: dict, line_no: int) -> Example:
     try:
+        if not isinstance(record["id"], str):
+            raise CorpusError(f"example id must be a string, got {record['id']!r}")
         tokens = tuple(TaggedToken(t["t"], t["s"]) for t in record["tokens"])
         return Example(
             id=record["id"],
@@ -74,7 +76,7 @@ def _parse_example(record: dict, line_no: int) -> Example:
         )
     except CorpusError as e:
         raise CorpusError(f"line {line_no}: {e}") from e
-    except (KeyError, TypeError, ValueError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise CorpusError(f"line {line_no}: malformed example record: {e!r}") from e
 
 
@@ -88,17 +90,21 @@ def read_jsonl(path) -> CorpusBundle:
         header = json.loads(lines[0])
     except ValueError as e:
         raise CorpusError(f"line 1: malformed header: {e}") from e
+    if not isinstance(header, dict):
+        raise CorpusError(f"line 1: header must be a JSON object, got {type(header).__name__}")
     if header.get("schema_version") != SCHEMA_VERSION:
         raise CorpusError(f"line 1: unsupported schema_version {header.get('schema_version')!r}")
-
-    meta = BundleMeta(
-        seed=header["seed"],
-        bias_version=header["bias_version"],
-        concepts=list(header["concepts"]),
-        label_names=list(header["label_names"]),
-        domains=list(header["domains"]),
-        lexicon_info=dict(header.get("provenance", {})),
-    )
+    try:
+        meta = BundleMeta(
+            seed=header["seed"],
+            bias_version=header["bias_version"],
+            concepts=list(header["concepts"]),
+            label_names=list(header["label_names"]),
+            domains=list(header["domains"]),
+            lexicon_info=dict(header.get("provenance", {})),
+        )
+    except (KeyError, TypeError, ValueError) as e:
+        raise CorpusError(f"line 1: malformed header: {e!r}") from e
     splits: dict[str, list[Example]] = {"train": [], "dev": [], "test": []}
     cf_records: list[Example] = []
     for line_no, line in enumerate(lines[1:], start=2):
@@ -108,6 +114,8 @@ def read_jsonl(path) -> CorpusBundle:
             record = json.loads(line)
         except ValueError as e:
             raise CorpusError(f"line {line_no}: malformed JSON: {e}") from e
+        if not isinstance(record, dict):
+            raise CorpusError(f"line {line_no}: record must be a JSON object, got {type(record).__name__}")
         split = record.get("split")
         if split not in ("train", "dev", "test", "cf"):
             raise CorpusError(f"line {line_no}: unknown split {split!r}")
@@ -120,9 +128,7 @@ def read_jsonl(path) -> CorpusBundle:
     by_id = {ex.id: ex for split in splits.values() for ex in split}
     pairs: list[ExamplePair] = []
     for cf in cf_records:
-        if "~cf~" not in cf.id:
-            raise CorpusError(f"counterfactual id {cf.id!r} lacks the ~cf~<concept> suffix")
-        factual_id, concept = cf.id.rsplit("~cf~", 1)
+        factual_id, concept = twin_origin(cf.id)
         factual = by_id.get(factual_id)
         if factual is None:
             raise CorpusError(f"counterfactual {cf.id!r} references unknown example {factual_id!r}")

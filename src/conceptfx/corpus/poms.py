@@ -2,9 +2,9 @@
 
 Every sentence is built from a template (a person name, an emotion word, and
 filler slots), plus one of thirteen noise sentences concatenated before or
-after it.  Three noise sentences per label are ``noise_boost`` times more
-likely than the rest for that label, so the corpus carries label signal beyond
-the emotion word.  Concept conventions: ``gender=1`` means a female name (and
+after it.  Three noise sentences per label are five times more likely than
+the rest for that label, so the corpus carries label signal beyond the
+emotion word.  Concept conventions: ``gender=1`` means a female name (and
 matching pronouns), ``race=1`` means an African-American name.
 
 Generation is a pure function of (templates, lexicons, bias, n, seed): every
@@ -21,9 +21,13 @@ from importlib import resources
 import numpy as np
 
 from .types import (BiasSpec, BundleMeta, CorpusBundle, CorpusError, Example,
-                    ExamplePair, TaggedToken, split_sizes)
+                    ExamplePair, TaggedToken, split_sizes, twin)
 
 POMS_LABELS = ("anger", "sadness", "fear", "joy")
+_CONCEPTS = ("gender", "race")
+_MIN_NAMES_PER_CELL = 10
+_AMBIGUOUS_RATE = 0.15  # share of emotion slots given a word shared with another label
+_NOISE_BOOST = 5.0
 
 _PRONOUN_FLIP = {"she": "he", "he": "she", "herself": "himself", "himself": "herself"}
 
@@ -60,14 +64,14 @@ class PomsLexicons:
     label_noise_links: dict[str, list[int]]
     fillers: dict[str, list[str]] = field(default_factory=dict)
 
-    def validate(self, min_names_per_cell: int = 10):
+    def validate(self):
         for gender in ("female", "male"):
             for race in ("european", "african_american"):
                 cell = self.names.get(gender, {}).get(race, [])
-                if len(cell) < min_names_per_cell:
+                if len(cell) < _MIN_NAMES_PER_CELL:
                     raise CorpusError(
                         f"name cell {gender}/{race} has {len(cell)} entries, "
-                        f"needs >= {min_names_per_cell} to avoid name reuse inside pairs")
+                        f"needs >= {_MIN_NAMES_PER_CELL} to avoid name reuse inside pairs")
         for label in POMS_LABELS:
             if not self.emotions.get(label):
                 raise CorpusError(f"no emotion words for label {label!r}")
@@ -108,10 +112,10 @@ def default_lexicons() -> PomsLexicons:
     )
 
 
-def _noise_weights(label: str, lexicons: PomsLexicons, noise_boost: float) -> np.ndarray:
+def _noise_weights(label: str, lexicons: PomsLexicons) -> np.ndarray:
     w = np.ones(len(lexicons.noise_sentences))
     for idx in lexicons.label_noise_links[label]:
-        w[idx] = noise_boost
+        w[idx] = _NOISE_BOOST
     return w / w.sum()
 
 
@@ -141,8 +145,8 @@ def _fill_template(template: Template, name: str, gender: str, emotion: str | No
 
 
 def _build_example(index: int, seed: int, templates: list[Template], template_probs: np.ndarray,
-                   lexicons: PomsLexicons, bias: BiasSpec, ambiguous_rate: float,
-                   noise_boost: float, noise_position: str) -> Example:
+                   lexicons: PomsLexicons, bias: BiasSpec, paired: bool) -> Example:
+    """Example ``index``; ``paired`` (test split) makes its id its ``pair_id``."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 1, index)))
     label_idx = int(rng.integers(len(POMS_LABELS)))
     label = POMS_LABELS[label_idx]
@@ -164,7 +168,7 @@ def _build_example(index: int, seed: int, templates: list[Template], template_pr
     emotion = None
     if template.has_emotion:
         ambiguous = lexicons.ambiguous_for(label)
-        if ambiguous and rng.random() < ambiguous_rate:
+        if ambiguous and rng.random() < _AMBIGUOUS_RATE:
             emotion = ambiguous[rng.integers(len(ambiguous))]
         else:
             words = lexicons.emotions[label]
@@ -172,26 +176,27 @@ def _build_example(index: int, seed: int, templates: list[Template], template_pr
 
     core = _fill_template(template, name, gender, emotion, lexicons, rng)
     noise_idx = int(rng.choice(len(lexicons.noise_sentences),
-                               p=_noise_weights(label, lexicons, noise_boost)))
+                               p=_noise_weights(label, lexicons)))
     noise = [TaggedToken(t, "noise") for t in lexicons.noise_sentences[noise_idx]]
-    if noise_position == "prefix" or (noise_position == "both" and rng.random() < 0.5):
+    if rng.random() < 0.5:
         tokens = (*noise, *core)
     else:
         tokens = (*core, *noise)
 
+    example_id = f"poms-{index:06d}"
     return Example(
-        id=f"poms-{index:06d}",
+        id=example_id,
         tokens=tokens,
         label=label_idx,
         concepts={
             "gender": 1 if gender == "female" else 0,
             "race": 1 if race == "african_american" else 0,
         },
+        pair_id=example_id if paired else None,
     )
 
 
-def flip_concept(example: Example, concept: str, lexicons: PomsLexicons, seed: int,
-                 new_id: str | None = None) -> Example:
+def flip_concept(example: Example, concept: str, lexicons: PomsLexicons, seed: int) -> Example:
     """Return the exact counterfactual twin with ``concept`` flipped.
 
     Gender flips replace the name (freshly sampled from the opposite-gender,
@@ -200,7 +205,7 @@ def flip_concept(example: Example, concept: str, lexicons: PomsLexicons, seed: i
     twice returns a sentence token-identical to the original up to name
     identity within the same gender/race cell.
     """
-    if concept not in ("gender", "race"):
+    if concept not in _CONCEPTS:
         raise CorpusError(f"cannot flip concept {concept!r}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 2, 1 if concept == "gender" else 2)))
     gender = "female" if example.concepts["gender"] else "male"
@@ -225,26 +230,14 @@ def flip_concept(example: Example, concept: str, lexicons: PomsLexicons, seed: i
 
     concepts = dict(example.concepts)
     concepts[concept] = 1 - concepts[concept]
-    return Example(
-        id=new_id or f"{example.id}~cf~{concept}",
-        tokens=tuple(tokens),
-        label=example.label,
-        concepts=concepts,
-        domain=example.domain,
-        pair_id=example.pair_id,
-    )
+    return twin(example, concept, tuple(tokens), concepts)
 
 
 def generate_poms_corpus(templates: list[Template] | None = None,
                          lexicons: PomsLexicons | None = None,
                          bias: BiasSpec | None = None,
                          n: int = 8000,
-                         seed: int = 212,
-                         ambiguous_rate: float = 0.15,
-                         noise_boost: float = 5.0,
-                         noise_position: str = "both",
-                         min_names_per_cell: int = 10,
-                         pair_concepts: tuple[str, ...] = ("gender", "race")) -> CorpusBundle:
+                         seed: int = 212) -> CorpusBundle:
     """Generate a mood-state corpus with counterfactual twins for the test set.
 
     The measured concept-label correlation is checked against the value the
@@ -262,36 +255,31 @@ def generate_poms_corpus(templates: list[Template] | None = None,
         raise CorpusError(
             f"bias probabilities infeasible for n={n}: need at least one example per label "
             f"({len(POMS_LABELS)} labels)")
-    if noise_position not in ("both", "prefix", "suffix"):
-        raise CorpusError(f"unknown noise position {noise_position!r}")
-    lexicons.validate(min_names_per_cell)
+    lexicons.validate()
 
     weights = np.array([t.weight for t in templates], dtype=float)
     template_probs = weights / weights.sum()
 
+    n_train, n_dev, _ = split_sizes(n)
+    n_fit = n_train + n_dev
     examples = [
-        _build_example(i, seed, templates, template_probs, lexicons, bias,
-                       ambiguous_rate, noise_boost, noise_position)
+        _build_example(i, seed, templates, template_probs, lexicons, bias, paired=i >= n_fit)
         for i in range(n)
     ]
-
-    n_train, n_dev, _ = split_sizes(n)
     train = examples[:n_train]
-    dev = examples[n_train:n_train + n_dev]
-    test = examples[n_train + n_dev:]
+    dev = examples[n_train:n_fit]
+    test = examples[n_fit:]
 
     pairs = []
-    for offset, ex in enumerate(test):
-        ex.pair_id = ex.id
-        for concept in pair_concepts:
-            index = n_train + n_dev + offset
+    for index, ex in enumerate(test, start=n_fit):
+        for concept in _CONCEPTS:
             cf = flip_concept(ex, concept, lexicons, seed=int(np.random.SeedSequence((seed, 3, index)).generate_state(1)[0]))
             pairs.append(ExamplePair(factual=ex, counterfactual=cf, concept=concept))
 
     meta = BundleMeta(
         seed=seed,
         bias_version=bias.version,
-        concepts=["gender", "race"],
+        concepts=list(_CONCEPTS),
         label_names=list(POMS_LABELS),
         domains=[],
         lexicon_info={"templates": len(templates), "bias_concept": bias.concept},
@@ -299,7 +287,7 @@ def generate_poms_corpus(templates: list[Template] | None = None,
     bundle = CorpusBundle(train=train, dev=dev, test=test, pairs=pairs, meta=meta)
     bundle.validate(max_tokens=31)
 
-    if n >= 2000 and bias.concept in ("gender", "race"):
+    if n >= 2000 and bias.concept in _CONCEPTS:
         from .bias import measure_correlation
         measured = measure_correlation(bundle, bias.concept, target_label="joy")
         expected = bias.expected_correlation("joy")

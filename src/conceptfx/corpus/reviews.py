@@ -10,14 +10,14 @@ the adjective-to-non-adjective ratio drives the score-sorted bias policy.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
 
 from .bias import apply_ratio_bias
 from .types import (BiasSpec, BundleMeta, CorpusBundle, CorpusError, Example,
-                    ExamplePair, TaggedToken, split_sizes)
+                    ExamplePair, TaggedToken, split_sizes, twin)
 
 REVIEW_LABELS = ("negative", "positive")
 
@@ -45,7 +45,6 @@ class ReviewGrammar:
     topic_words: dict[str, list[str]]
     generic_nouns: list[str]
     topic_word_rate: float = 0.85
-    extra: dict = field(default_factory=dict)
 
     def validate(self, domains: list[str]):
         if not self.frames:
@@ -77,16 +76,20 @@ def default_grammar() -> ReviewGrammar:
 DEFAULT_DOMAINS = ("books", "dvd", "electronics", "kitchen", "movies")
 
 
-def adjective_ratio(example: Example) -> float:
-    """Ratio of adjective tokens to non-adjective tokens."""
-    n_adj = sum(1 for t in example.tokens if t.slot == "adjective")
-    n_other = len(example.tokens) - n_adj
+def _token_ratio(tokens: tuple[TaggedToken, ...], example_id: str) -> float:
+    n_adj = sum(1 for t in tokens if t.slot == "adjective")
+    n_other = len(tokens) - n_adj
     if n_other == 0:
-        raise CorpusError(f"example {example.id} has only adjectives")
+        raise CorpusError(f"example {example_id} has only adjectives")
     return n_adj / n_other
 
 
-def delete_adjectives(example: Example, new_id: str | None = None) -> Example:
+def adjective_ratio(example: Example) -> float:
+    """Ratio of adjective tokens to non-adjective tokens."""
+    return _token_ratio(example.tokens, example.id)
+
+
+def delete_adjectives(example: Example) -> Example:
     """Counterfactual twin with every adjective token removed."""
     kept = tuple(t for t in example.tokens if t.slot != "adjective")
     if not kept:
@@ -94,18 +97,12 @@ def delete_adjectives(example: Example, new_id: str | None = None) -> Example:
     concepts = dict(example.concepts)
     if "adjectives" in concepts:
         concepts["adjectives"] = 0
-    return Example(
-        id=new_id or f"{example.id}~cf~adjectives",
-        tokens=kept,
-        label=example.label,
-        concepts=concepts,
-        domain=example.domain,
-        pair_id=example.pair_id,
-    )
+    return twin(example, "adjectives", kept, concepts)
 
 
 def _build_review(index: int, seed: int, grammar: ReviewGrammar, domains: list[str],
-                  frame_probs: np.ndarray) -> Example:
+                  frame_probs: np.ndarray) -> tuple[str, int, tuple[TaggedToken, ...]]:
+    """(domain, label, tokens) of review ``index``."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 11, index)))
     domain = domains[rng.integers(len(domains))]
     label = int(rng.integers(2))
@@ -133,13 +130,7 @@ def _build_review(index: int, seed: int, grammar: ReviewGrammar, domains: list[s
         else:
             tokens.append(TaggedToken(tok, "filler"))
 
-    return Example(
-        id=f"rev-{index:06d}",
-        tokens=tuple(tokens),
-        label=label,
-        concepts={},
-        domain=domain,
-    )
+    return domain, label, tuple(tokens)
 
 
 def generate_review_corpus(grammar: ReviewGrammar | None = None,
@@ -157,20 +148,26 @@ def generate_review_corpus(grammar: ReviewGrammar | None = None,
     grammar = grammar if grammar is not None else default_grammar()
     domains = list(domains) if domains is not None else list(DEFAULT_DOMAINS)
     bias = bias if bias is not None else BiasSpec.reviews("balanced")
+    if bias.concept != "adjectives":
+        raise CorpusError(f"review corpora take an adjectives bias, got one for {bias.concept!r}")
     grammar.validate(domains)
     if n < 2:
         raise CorpusError(f"cannot build a review corpus with n={n}")
 
     weights = np.array([f.weight for f in grammar.frames], dtype=float)
     frame_probs = weights / weights.sum()
-    examples = [_build_review(i, seed, grammar, domains, frame_probs) for i in range(n)]
-
-    ratios = np.array([adjective_ratio(ex) for ex in examples])
+    drafts = [_build_review(i, seed, grammar, domains, frame_probs) for i in range(n)]
+    ids = [f"rev-{i:06d}" for i in range(n)]
+    ratios = np.array([_token_ratio(tokens, ex_id) for ex_id, (_, _, tokens) in zip(ids, drafts)])
     median = float(np.median(ratios))
-    for ex, ratio in zip(examples, ratios):
-        ex.concepts["adjectives"] = int(ratio > median)
 
     n_train, n_dev, _ = split_sizes(n)
+    n_fit = n_train + n_dev
+    examples = [
+        Example(id=ex_id, tokens=tokens, label=label, concepts={"adjectives": int(ratio > median)},
+                domain=domain, pair_id=ex_id if i >= n_fit else None)
+        for i, (ex_id, (domain, label, tokens), ratio) in enumerate(zip(ids, drafts, ratios))
+    ]
     meta = BundleMeta(
         seed=seed,
         bias_version=bias.version,
@@ -182,19 +179,16 @@ def generate_review_corpus(grammar: ReviewGrammar | None = None,
     )
     bundle = CorpusBundle(
         train=examples[:n_train],
-        dev=examples[n_train:n_train + n_dev],
-        test=examples[n_train + n_dev:],
+        dev=examples[n_train:n_fit],
+        test=examples[n_fit:],
         pairs=[],
         meta=meta,
     )
     bundle.validate(max_tokens=31)
+    bundle = apply_ratio_bias(bundle, adjective_ratio, bias.version)
 
-    if bias.deletion_score == "adjective_ratio" and bias.version != "balanced":
-        bundle = apply_ratio_bias(bundle, adjective_ratio, bias.version)
-
-    for ex in bundle.test:
-        ex.pair_id = ex.id
-        bundle.pairs.append(ExamplePair(factual=ex, counterfactual=delete_adjectives(ex), concept="adjectives"))
-    for pair in bundle.pairs:
+    pairs = [ExamplePair(factual=ex, counterfactual=delete_adjectives(ex), concept="adjectives")
+             for ex in bundle.test]
+    for pair in pairs:
         pair.validate()
-    return bundle
+    return replace(bundle, pairs=pairs)

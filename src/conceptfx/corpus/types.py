@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+_TWIN_MARK = "~cf~"
+
 SLOT_KINDS = (
     "adjective",
     "person-name",
@@ -44,7 +46,7 @@ class TaggedToken:
             raise CorpusError(f"unknown slot kind {self.slot!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Example:
     """A tagged token sequence with task label and binary concept values."""
 
@@ -54,9 +56,6 @@ class Example:
     concepts: dict[str, int]
     domain: str | None = None
     pair_id: str | None = None
-
-    def surfaces(self) -> list[str]:
-        return [t.surface for t in self.tokens]
 
     def validate(self, n_labels: int, max_tokens: int | None = None,
                  required_concepts: tuple[str, ...] = ()):
@@ -87,6 +86,25 @@ class ExamplePair:
             raise CorpusError(f"pair for {self.factual.id}: labels differ")
 
 
+def twin(factual: Example, concept: str, tokens: tuple[TaggedToken, ...],
+         concepts: dict[str, int]) -> Example:
+    """The counterfactual twin of ``factual`` with ``concept`` intervened on.
+
+    The twin keeps the factual label, domain and ``pair_id``; its id is
+    ``<factual-id>~cf~<concept>``, which ``twin_origin`` parses back.
+    """
+    return Example(id=f"{factual.id}{_TWIN_MARK}{concept}", tokens=tokens, label=factual.label,
+                   concepts=concepts, domain=factual.domain, pair_id=factual.pair_id)
+
+
+def twin_origin(twin_id: str) -> tuple[str, str]:
+    """``(factual_id, concept)`` of a twin id built by ``twin``."""
+    factual_id, mark, concept = twin_id.rpartition(_TWIN_MARK)
+    if not mark:
+        raise CorpusError(f"counterfactual id {twin_id!r} lacks the {_TWIN_MARK}<concept> suffix")
+    return factual_id, concept
+
+
 BIAS_VERSIONS = ("balanced", "gentle", "aggressive")
 
 
@@ -95,14 +113,13 @@ class BiasSpec:
     """How much concept-label correlation to inject into a corpus.
 
     POMS-style corpora use ``label_probs`` (probability that the concept takes
-    value 1 given each label); review-style corpora use a score-sorted
-    deletion policy keyed by ``deletion_score``.
+    value 1 given each label); review-style corpora (concept ``adjectives``)
+    delete examples sorted by their adjective ratio.
     """
 
     version: str
     concept: str | None = None
     label_probs: dict[str, float] | None = None
-    deletion_score: str | None = None
 
     def __post_init__(self):
         if self.version not in BIAS_VERSIONS:
@@ -113,25 +130,25 @@ class BiasSpec:
                     raise CorpusError(f"bias probability for label {label!r} out of [0, 1]: {p}")
 
     @classmethod
-    def poms(cls, version: str, concept: str = "gender",
-             skew_label: str = "joy", other_labels: tuple[str, ...] = ("anger", "sadness", "fear")) -> "BiasSpec":
+    def poms(cls, version: str, concept: str = "gender") -> "BiasSpec":
         """Standard mood-state bias ladder for a binary person concept.
 
-        balanced: concept drawn uniformly for every label.  gentle: the skew
-        label is 90% concept=1, other labels stay 50/50.  aggressive: the skew
-        label is 90% concept=1 and the other labels drop to 10%.
+        balanced: concept drawn uniformly for every label.  gentle: ``joy``
+        is 90% concept=1, other labels stay 50/50.  aggressive: ``joy`` is
+        90% concept=1 and the other labels drop to 10%.
         """
+        others = ("anger", "sadness", "fear")
         if version == "balanced":
-            probs = {label: 0.5 for label in (skew_label, *other_labels)}
+            probs = {label: 0.5 for label in ("joy", *others)}
         elif version == "gentle":
-            probs = {skew_label: 0.9, **{label: 0.5 for label in other_labels}}
+            probs = {"joy": 0.9, **{label: 0.5 for label in others}}
         else:
-            probs = {skew_label: 0.9, **{label: 0.1 for label in other_labels}}
+            probs = {"joy": 0.9, **{label: 0.1 for label in others}}
         return cls(version=version, concept=concept, label_probs=probs)
 
     @classmethod
-    def reviews(cls, version: str, deletion_score: str = "adjective_ratio") -> "BiasSpec":
-        return cls(version=version, concept="adjectives", deletion_score=deletion_score)
+    def reviews(cls, version: str) -> "BiasSpec":
+        return cls(version=version, concept="adjectives")
 
     def expected_correlation(self, target_label: str) -> float:
         """Pearson correlation implied by ``label_probs`` with uniform labels."""
@@ -174,12 +191,6 @@ class CorpusBundle:
 
     def all_examples(self) -> list[Example]:
         return [*self.train, *self.dev, *self.test]
-
-    def split_of(self, example_id: str) -> str | None:
-        for name in ("train", "dev", "test"):
-            if any(e.id == example_id for e in getattr(self, name)):
-                return name
-        return None
 
     def validate(self, max_tokens: int | None = None):
         n_labels = len(self.meta.label_names)

@@ -51,10 +51,6 @@ class EncoderConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "EncoderConfig":
-        return cls(**d)
-
 
 def init_encoder_params(config: EncoderConfig, seed: int, dtype=np.float32) -> dict[str, ad.Tensor]:
     """Normal(0, 0.02) weights, zero biases, unit layer-norm gains."""

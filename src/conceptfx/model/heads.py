@@ -1,8 +1,8 @@
 """Attachable prediction heads.
 
-Three kinds: ``mlm`` (token states -> vocabulary logits, output matrix
-untied from the input embeddings), ``seq`` (sequence feature -> class
-logits) and ``tok`` (token states at selected positions -> class logits).
+Two kinds: ``mlm`` (token states -> vocabulary logits, output matrix
+untied from the input embeddings) and ``seq`` (sequence feature -> class
+logits).
 Adversarial heads (and only those) are preceded by a gradient-reversal node;
 control heads never are.
 """
@@ -22,9 +22,7 @@ class HeadError(Exception):
 
 @dataclass
 class _Head:
-    kind: str
     in_dim: int
-    classes: int
     adversarial: bool = False
     grl_lambda: float = 1.0
 
@@ -36,7 +34,7 @@ class HeadSet:
     params: dict[str, ad.Tensor] = field(default_factory=dict)
     heads: dict[str, _Head] = field(default_factory=dict)
 
-    def _add(self, name: str, kind: str, in_dim: int, classes: int, seed: int,
+    def _add(self, name: str, in_dim: int, classes: int, seed: int,
              dtype, adversarial: bool, grl_lambda: float):
         if name in self.heads:
             raise HeadError(f"duplicate head {name!r}")
@@ -45,19 +43,14 @@ class HeadSet:
             rng.normal(0.0, 0.02, size=(in_dim, classes)), requires_grad=True, dtype=dtype)
         self.params[f"head.{name}.b"] = ad.Tensor(
             np.zeros(classes), requires_grad=True, dtype=dtype)
-        self.heads[name] = _Head(kind=kind, in_dim=in_dim, classes=classes,
-                                 adversarial=adversarial, grl_lambda=grl_lambda)
+        self.heads[name] = _Head(in_dim=in_dim, adversarial=adversarial, grl_lambda=grl_lambda)
 
     def add_mlm(self, name: str, dim: int, vocab_size: int, seed: int, dtype=np.float32):
-        self._add(name, "mlm", dim, vocab_size, seed, dtype, adversarial=False, grl_lambda=0.0)
+        self._add(name, dim, vocab_size, seed, dtype, adversarial=False, grl_lambda=0.0)
 
     def add_seq(self, name: str, in_dim: int, classes: int, seed: int, dtype=np.float32,
                 adversarial: bool = False, grl_lambda: float = 1.0):
-        self._add(name, "seq", in_dim, classes, seed, dtype, adversarial, grl_lambda)
-
-    def add_tok(self, name: str, dim: int, classes: int, seed: int, dtype=np.float32,
-                adversarial: bool = False, grl_lambda: float = 1.0):
-        self._add(name, "tok", dim, classes, seed, dtype, adversarial, grl_lambda)
+        self._add(name, in_dim, classes, seed, dtype, adversarial, grl_lambda)
 
     def forward(self, name: str, inputs: ad.Tensor) -> ad.Tensor:
         """Logits for a head; adversarial heads reverse gradients on entry."""
@@ -71,9 +64,3 @@ class HeadSet:
             inputs = ad.grad_reverse(inputs, head.grl_lambda)
         return ad.add(ad.matmul(inputs, self.params[f"head.{name}.w"]),
                       self.params[f"head.{name}.b"])
-
-    def head_params(self, name: str) -> dict[str, ad.Tensor]:
-        return {k: v for k, v in self.params.items() if k.startswith(f"head.{name}.")}
-
-    def adversarial_names(self) -> list[str]:
-        return [n for n, h in self.heads.items() if h.adversarial]

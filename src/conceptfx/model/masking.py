@@ -8,7 +8,7 @@ become a random non-special token.  Plans are deterministic functions of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,6 @@ class MaskingPlan:
     mlm_targets: np.ndarray | None = None    # original ids (token-prediction task)
     binary_targets: np.ndarray | None = None # 1 = adjective (token-kind task)
     imbalance: int = 0                       # shortfall of non-adjective picks
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         n = len(self.positions)
@@ -102,8 +101,8 @@ def ima_mask(example, vocab: Vocab, seed: int = 0, max_len: int = 32) -> Masking
         chosen = other_positions
         imbalance = want - len(other_positions)
     positions = np.sort(np.concatenate([adj_positions, chosen]))
-    binary = np.array([1 if p in set(adj_positions.tolist()) else 0 for p in positions],
-                      dtype=np.int64)
+    adjectives = set(adj_positions.tolist())
+    binary = np.array([1 if p in adjectives else 0 for p in positions], dtype=np.int64)
     actions, replacements = _assign_actions(rng, positions, ids, vocab.size)
     return MaskingPlan(positions=positions, actions=actions, replacements=replacements,
                        binary_targets=binary, imbalance=imbalance)

@@ -21,18 +21,12 @@ class Vocab:
     token_to_id: dict[str, int]
     id_to_token: list[str]
 
-    def __len__(self):
-        return len(self.id_to_token)
-
     @property
     def size(self) -> int:
         return len(self.id_to_token)
 
     def get(self, token: str) -> int:
         return self.token_to_id.get(token, UNK_ID)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.token_to_id
 
 
 def build_vocab(corpus) -> Vocab:

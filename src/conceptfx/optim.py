@@ -1,8 +1,9 @@
 """Adam optimizer with bias correction.
 
-Defaults follow the training setup used throughout the package: learning rate
-1e-3, eps 1e-8, no weight decay.  beta1/beta2 are the standard 0.9/0.999.
-Updates are deterministic functions of (params, grads, state).
+The learning rate defaults to 1e-3; eps 1e-8, the standard beta1/beta2 of
+0.9/0.999 and no weight decay are fixed, as in the training setup used
+throughout the package.  Updates are deterministic functions of (params,
+grads, state).
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor
+
+_EPS, _BETA1, _BETA2 = 1e-8, 0.9, 0.999
 
 
 class OptimError(Exception):
@@ -28,8 +31,7 @@ class AdamState:
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-              state: AdamState, lr: float = 1e-3, eps: float = 1e-8,
-              beta1: float = 0.9, beta2: float = 0.999) -> AdamState:
+              state: AdamState, lr: float = 1e-3) -> AdamState:
     """Apply one bias-corrected Adam update in place; returns the state.
 
     A non-finite gradient aborts the whole step (no parameter is touched)
@@ -40,8 +42,8 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
             raise OptimError(f"non-finite gradient for parameter {name!r}; step aborted")
     state.step += 1
     t = state.step
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
+    bc1 = 1.0 - _BETA1**t
+    bc2 = 1.0 - _BETA2**t
     for name, g in grads.items():
         p = params[name]
         m = state.m.get(name)
@@ -50,26 +52,22 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         v = state.v.get(name)
         if v is None:
             v = state.v[name] = np.zeros_like(p)
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
+        m *= _BETA1
+        m += (1.0 - _BETA1) * g
+        v *= _BETA2
+        v += (1.0 - _BETA2) * (g * g)
         m_hat = m / bc1
         v_hat = v / bc2
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        p -= lr * m_hat / (np.sqrt(v_hat) + _EPS)
     return state
 
 
 class Adam:
     """Convenience wrapper driving ``adam_step`` from ``Tensor.grad`` fields."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3, eps: float = 1e-8,
-                 beta1: float = 0.9, beta2: float = 0.999):
+    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
         self.params = params
         self.lr = lr
-        self.eps = eps
-        self.beta1 = beta1
-        self.beta2 = beta2
         self.state = AdamState()
 
     def step(self):
@@ -77,8 +75,7 @@ class Adam:
         for name, p in self.params.items():
             if p.grad is not None:
                 grads[name] = p.grad
-        adam_step({n: p.data for n, p in self.params.items()}, grads, self.state,
-                  lr=self.lr, eps=self.eps, beta1=self.beta1, beta2=self.beta2)
+        adam_step({n: p.data for n, p in self.params.items()}, grads, self.state, lr=self.lr)
 
     def zero_grad(self):
         for p in self.params.values():

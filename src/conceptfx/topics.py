@@ -12,17 +12,19 @@ parallel.  Fitting is deterministic under (docs, T, alpha, beta, iters, seed).
 
 from __future__ import annotations
 
-import json
 import random
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 
 class TopicError(Exception):
     pass
+
+
+# Sweeps between checks that the count tables still agree with the documents.
+_CHECK_EVERY = 50
 
 
 @dataclass
@@ -37,13 +39,6 @@ class TopicModel:
     theta: np.ndarray          # [D, T] document-topic proportions, rows sum to 1
     topic_word: np.ndarray     # [T, V] topic-word distributions, rows sum to 1
     empty_docs: list[str] = field(default_factory=list)
-
-    def top_words(self, k: int = 10) -> list[list[str]]:
-        out = []
-        for t in range(self.T):
-            order = np.argsort(-self.topic_word[t])[:k]
-            out.append([self.vocab[i] for i in order])
-        return out
 
 
 @dataclass
@@ -68,8 +63,7 @@ def _check_counts(n_dk, n_kw, n_k, doc_lens, sweep):
 
 
 def fit_lda(docs, T: int, alpha: float | None = None, beta: float = 0.01,
-            iters: int = 500, seed: int = 0, doc_ids=None,
-            check_every: int = 50) -> TopicModel:
+            iters: int = 500, seed: int = 0, doc_ids=None) -> TopicModel:
     """Collapsed Gibbs sampling with p(z=k) ~ (n_dk+a)(n_kw+b)/(n_k+Vb).
 
     ``alpha`` defaults to ``50/T``.  Documents that are empty after
@@ -138,7 +132,7 @@ def fit_lda(docs, T: int, alpha: float | None = None, beta: float = 0.01,
                 row[k_new] += 1
                 n_kw[k_new][w] += 1
                 n_k[k_new] += 1
-        if check_every and (sweep + 1) % check_every == 0:
+        if (sweep + 1) % _CHECK_EVERY == 0:
             _check_counts(n_dk, n_kw, n_k, doc_lens, sweep + 1)
     _check_counts(n_dk, n_kw, n_k, doc_lens, iters)
 
@@ -154,13 +148,11 @@ def fit_lda(docs, T: int, alpha: float | None = None, beta: float = 0.01,
                       topic_word=topic_word, empty_docs=empty)
 
 
-def fit_lda_corpus(bundle, T: int, alpha: float | None = None, beta: float = 0.01,
-                   iters: int = 500, seed: int = 0) -> TopicModel:
+def fit_lda_corpus(bundle, T: int, iters: int = 500, seed: int = 0) -> TopicModel:
     """Fit on all splits combined, using raw token surfaces as the documents."""
     examples = bundle.all_examples()
     docs = [[t.surface for t in ex.tokens] for ex in examples]
-    return fit_lda(docs, T, alpha=alpha, beta=beta, iters=iters, seed=seed,
-                   doc_ids=[ex.id for ex in examples])
+    return fit_lda(docs, T, iters=iters, seed=seed, doc_ids=[ex.id for ex in examples])
 
 
 def domain_scores(model: TopicModel, example_domains, domain: str) -> np.ndarray:
@@ -192,10 +184,6 @@ def select_tc_topic(model: TopicModel, example_domains, domain: str,
     return best
 
 
-def select_cc_topic(model: TopicModel, example_domains, domain: str, t_tc: int) -> int:
-    return select_tc_topic(model, example_domains, domain, exclude={t_tc})
-
-
 def binarize_by_median(model: TopicModel, topic: int) -> np.ndarray:
     """1 where the topic proportion strictly exceeds its corpus-wide median."""
     if not 0 <= topic < model.T:
@@ -207,7 +195,7 @@ def binarize_by_median(model: TopicModel, topic: int) -> np.ndarray:
 
 def assign_topics(model: TopicModel, example_domains, domain: str) -> TopicAssignment:
     t_tc = select_tc_topic(model, example_domains, domain)
-    t_cc = select_cc_topic(model, example_domains, domain, t_tc)
+    t_cc = select_tc_topic(model, example_domains, domain, exclude={t_tc})
     medians = {
         t_tc: float(np.median(model.theta[:, t_tc])),
         t_cc: float(np.median(model.theta[:, t_cc])),
@@ -218,27 +206,3 @@ def assign_topics(model: TopicModel, example_domains, domain: str) -> TopicAssig
         ict=binarize_by_median(model, t_cc),
         doc_ids=list(model.doc_ids),
     )
-
-
-def save_topics(path, model: TopicModel, assignment: TopicAssignment | None = None) -> None:
-    payload = {
-        "T": model.T,
-        "alpha": model.alpha,
-        "beta": model.beta,
-        "iters": model.iters,
-        "seed": model.seed,
-        "t_tc": assignment.t_tc if assignment else None,
-        "t_cc": assignment.t_cc if assignment else None,
-        "medians": {str(k): v for k, v in (assignment.medians if assignment else {}).items()},
-        "doc_ids": model.doc_ids,
-        "theta": [[float(x) for x in row] for row in model.theta],
-        "top_words": model.top_words(10),
-    }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n",
-                    encoding="utf-8")
-
-
-def load_topics(path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
