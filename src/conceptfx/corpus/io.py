@@ -6,12 +6,15 @@ label_names, domains, provenance}``; every following line is one example
 as ``{"t": surface, "s": slot}``.  Keys are emitted in exactly this order and
 surfaces are lowercase UTF-8, so identical bundles serialize to identical
 bytes.  Counterfactual twins are stored with ``split="cf"`` under the ids
-that ``types.twin`` gives them.
+that ``types.twin`` gives them, after every factual example.  The
+``pair_id`` column is derived from ``CorpusBundle.pairs`` on write (a paired
+factual's own id, a twin's factual id, else null) and checked on read.
 """
 
 from __future__ import annotations
 
 import json
+from importlib import resources
 from pathlib import Path
 
 from .types import (BundleMeta, CorpusBundle, CorpusError, Example,
@@ -20,10 +23,15 @@ from .types import (BundleMeta, CorpusBundle, CorpusError, Example,
 SCHEMA_VERSION = 1
 
 
-def _example_record(ex: Example, split: str) -> dict:
+def load_data(name: str) -> dict:
+    """A JSON file packaged under ``conceptfx/corpus/data``."""
+    return json.loads(resources.files("conceptfx.corpus").joinpath(f"data/{name}").read_text("utf-8"))
+
+
+def _example_record(ex: Example, split: str, pair_id: str | None) -> dict:
     return {
         "id": ex.id,
-        "pair_id": ex.pair_id,
+        "pair_id": pair_id,
         "split": split,
         "label": ex.label,
         "domain": ex.domain,
@@ -48,36 +56,38 @@ def write_jsonl(bundle: CorpusBundle, path) -> None:
         "domains": list(meta.domains),
         "provenance": {k: meta.lexicon_info[k] for k in sorted(meta.lexicon_info)},
     }
+    paired = {pair.factual.id for pair in bundle.pairs}
     lines = [_dump(header)]
     for split in ("train", "dev", "test"):
         for ex in getattr(bundle, split):
             if any(t.surface != t.surface.lower() for t in ex.tokens):
                 raise CorpusError(f"example {ex.id}: surfaces must be lowercase")
-            lines.append(_dump(_example_record(ex, split)))
+            lines.append(_dump(_example_record(ex, split, ex.id if ex.id in paired else None)))
     for pair in bundle.pairs:
-        lines.append(_dump(_example_record(pair.counterfactual, "cf")))
+        lines.append(_dump(_example_record(pair.counterfactual, "cf", pair.factual.id)))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _parse_example(record: dict, line_no: int) -> Example:
+def _parse_example(record: dict, meta: BundleMeta) -> tuple[Example, str | None]:
+    """The example a record holds, validated against the header, and its pair_id."""
     try:
         if not isinstance(record["id"], str):
             raise CorpusError(f"example id must be a string, got {record['id']!r}")
         tokens = tuple(TaggedToken(t["t"], t["s"]) for t in record["tokens"])
-        return Example(
+        ex = Example(
             id=record["id"],
             tokens=tokens,
             label=int(record["label"]),
             concepts={str(k): int(v) for k, v in record["concepts"].items()},
             domain=record["domain"],
-            pair_id=record["pair_id"],
         )
-    except CorpusError as e:
-        raise CorpusError(f"line {line_no}: {e}") from e
+        pair_id = record["pair_id"]
     except (AttributeError, KeyError, TypeError, ValueError) as e:
-        raise CorpusError(f"line {line_no}: malformed example record: {e!r}") from e
+        raise CorpusError(f"malformed example record: {e!r}") from e
+    ex.validate(len(meta.label_names), None, tuple(meta.concepts))
+    return ex, pair_id
 
 
 def read_jsonl(path) -> CorpusBundle:
@@ -106,7 +116,9 @@ def read_jsonl(path) -> CorpusBundle:
     except (KeyError, TypeError, ValueError) as e:
         raise CorpusError(f"line 1: malformed header: {e!r}") from e
     splits: dict[str, list[Example]] = {"train": [], "dev": [], "test": []}
-    cf_records: list[Example] = []
+    factuals: dict[str, Example] = {}
+    pair_lines: dict[str, int] = {}  # factual id -> its line, for factuals with a pair_id
+    pairs: list[ExamplePair] = []
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             raise CorpusError(f"line {line_no}: blank line inside corpus file")
@@ -119,26 +131,32 @@ def read_jsonl(path) -> CorpusBundle:
         split = record.get("split")
         if split not in ("train", "dev", "test", "cf"):
             raise CorpusError(f"line {line_no}: unknown split {split!r}")
-        ex = _parse_example(record, line_no)
-        if split == "cf":
-            cf_records.append(ex)
-        else:
-            splits[split].append(ex)
-
-    by_id = {ex.id: ex for split in splits.values() for ex in split}
-    pairs: list[ExamplePair] = []
-    for cf in cf_records:
-        factual_id, concept = twin_origin(cf.id)
-        factual = by_id.get(factual_id)
-        if factual is None:
-            raise CorpusError(f"counterfactual {cf.id!r} references unknown example {factual_id!r}")
-        pairs.append(ExamplePair(factual=factual, counterfactual=cf, concept=concept))
-
-    bundle = CorpusBundle(train=splits["train"], dev=splits["dev"], test=splits["test"],
-                          pairs=pairs, meta=meta)
-    for pair in pairs:
-        pair.validate()
-    return bundle
+        try:
+            ex, pair_id = _parse_example(record, meta)
+            if split != "cf":
+                if pair_id not in (None, ex.id):
+                    raise CorpusError(f"example {ex.id!r} has pair_id {pair_id!r}, neither null nor its id")
+                splits[split].append(ex)
+                factuals[ex.id] = ex
+                if pair_id is not None:
+                    pair_lines[ex.id] = line_no
+                continue
+            factual_id, concept = twin_origin(ex.id)
+            if factual_id not in factuals:
+                raise CorpusError(f"counterfactual {ex.id!r} references unknown example {factual_id!r}")
+            if pair_id != factual_id or factual_id not in pair_lines:
+                raise CorpusError(f"counterfactual {ex.id!r} (pair_id {pair_id!r}) and example "
+                                  f"{factual_id!r} must both have pair_id {factual_id!r}")
+            pairs.append(ExamplePair(factual=factuals[factual_id], counterfactual=ex, concept=concept))
+            pairs[-1].validate()
+        except CorpusError as e:
+            raise CorpusError(f"line {line_no}: {e}") from e
+    unpaired = [(pair_lines[i], i) for i in pair_lines.keys() - {p.factual.id for p in pairs}]
+    if unpaired:
+        line_no, factual_id = min(unpaired)
+        raise CorpusError(f"line {line_no}: example {factual_id!r} has a pair_id but no counterfactual")
+    return CorpusBundle(train=splits["train"], dev=splits["dev"], test=splits["test"],
+                        pairs=pairs, meta=meta)
 
 
 __all__ = ["write_jsonl", "read_jsonl", "SCHEMA_VERSION", "SLOT_KINDS"]

@@ -14,14 +14,13 @@ shards can be generated in parallel with disjoint sub-seeds.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from importlib import resources
 
 import numpy as np
 
+from .io import load_data
 from .types import (BiasSpec, BundleMeta, CorpusBundle, CorpusError, Example,
-                    ExamplePair, TaggedToken, split_sizes, twin)
+                    TaggedToken, assemble, twin)
 
 POMS_LABELS = ("anger", "sadness", "fear", "joy")
 _CONCEPTS = ("gender", "race")
@@ -89,18 +88,13 @@ class PomsLexicons:
         return self.names[gender][race]
 
 
-def _load_data(name: str) -> dict:
-    text = resources.files("conceptfx.corpus").joinpath(f"data/{name}").read_text("utf-8")
-    return json.loads(text)
-
-
 def default_templates() -> list[Template]:
-    raw = _load_data("templates.json")["templates"]
+    raw = load_data("templates.json")["templates"]
     return [Template(id=t["id"], tokens=list(t["tokens"]), weight=float(t["weight"])) for t in raw]
 
 
 def default_lexicons() -> PomsLexicons:
-    raw = _load_data("lexicons.json")
+    raw = load_data("lexicons.json")
     fillers = {key: raw[key] for key in ("places", "seasons", "times", "days", "observes", "numbers", "family")}
     return PomsLexicons(
         names=raw["names"],
@@ -145,8 +139,7 @@ def _fill_template(template: Template, name: str, gender: str, emotion: str | No
 
 
 def _build_example(index: int, seed: int, templates: list[Template], template_probs: np.ndarray,
-                   lexicons: PomsLexicons, bias: BiasSpec, paired: bool) -> Example:
-    """Example ``index``; ``paired`` (test split) makes its id its ``pair_id``."""
+                   lexicons: PomsLexicons, bias: BiasSpec) -> Example:
     rng = np.random.default_rng(np.random.SeedSequence((seed, 1, index)))
     label_idx = int(rng.integers(len(POMS_LABELS)))
     label = POMS_LABELS[label_idx]
@@ -183,16 +176,14 @@ def _build_example(index: int, seed: int, templates: list[Template], template_pr
     else:
         tokens = (*core, *noise)
 
-    example_id = f"poms-{index:06d}"
     return Example(
-        id=example_id,
+        id=f"poms-{index:06d}",
         tokens=tokens,
         label=label_idx,
         concepts={
             "gender": 1 if gender == "female" else 0,
             "race": 1 if race == "african_american" else 0,
         },
-        pair_id=example_id if paired else None,
     )
 
 
@@ -260,21 +251,12 @@ def generate_poms_corpus(templates: list[Template] | None = None,
     weights = np.array([t.weight for t in templates], dtype=float)
     template_probs = weights / weights.sum()
 
-    n_train, n_dev, _ = split_sizes(n)
-    n_fit = n_train + n_dev
-    examples = [
-        _build_example(i, seed, templates, template_probs, lexicons, bias, paired=i >= n_fit)
-        for i in range(n)
-    ]
-    train = examples[:n_train]
-    dev = examples[n_train:n_fit]
-    test = examples[n_fit:]
+    examples = [_build_example(i, seed, templates, template_probs, lexicons, bias)
+                for i in range(n)]
 
-    pairs = []
-    for index, ex in enumerate(test, start=n_fit):
-        for concept in _CONCEPTS:
-            cf = flip_concept(ex, concept, lexicons, seed=int(np.random.SeedSequence((seed, 3, index)).generate_state(1)[0]))
-            pairs.append(ExamplePair(factual=ex, counterfactual=cf, concept=concept))
+    def twins(index: int, ex: Example) -> list[Example]:
+        flip_seed = int(np.random.SeedSequence((seed, 3, index)).generate_state(1)[0])
+        return [flip_concept(ex, concept, lexicons, seed=flip_seed) for concept in _CONCEPTS]
 
     meta = BundleMeta(
         seed=seed,
@@ -284,8 +266,7 @@ def generate_poms_corpus(templates: list[Template] | None = None,
         domains=[],
         lexicon_info={"templates": len(templates), "bias_concept": bias.concept},
     )
-    bundle = CorpusBundle(train=train, dev=dev, test=test, pairs=pairs, meta=meta)
-    bundle.validate(max_tokens=31)
+    bundle = assemble(examples, meta, twins)
 
     if n >= 2000 and bias.concept in _CONCEPTS:
         from .bias import measure_correlation

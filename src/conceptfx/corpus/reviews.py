@@ -9,15 +9,14 @@ the adjective-to-non-adjective ratio drives the score-sorted bias policy.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
-from importlib import resources
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bias import apply_ratio_bias
+from .io import load_data
 from .types import (BiasSpec, BundleMeta, CorpusBundle, CorpusError, Example,
-                    ExamplePair, TaggedToken, split_sizes, twin)
+                    TaggedToken, assemble, twin)
 
 REVIEW_LABELS = ("negative", "positive")
 
@@ -62,8 +61,7 @@ class ReviewGrammar:
 
 
 def default_grammar() -> ReviewGrammar:
-    text = resources.files("conceptfx.corpus").joinpath("data/review_grammar.json").read_text("utf-8")
-    raw = json.loads(text)
+    raw = load_data("review_grammar.json")
     return ReviewGrammar(
         frames=[Frame(id=f["id"], tokens=list(f["tokens"]), weight=float(f["weight"])) for f in raw["frames"]],
         adjectives=raw["adjectives"],
@@ -161,12 +159,10 @@ def generate_review_corpus(grammar: ReviewGrammar | None = None,
     ratios = np.array([_token_ratio(tokens, ex_id) for ex_id, (_, _, tokens) in zip(ids, drafts)])
     median = float(np.median(ratios))
 
-    n_train, n_dev, _ = split_sizes(n)
-    n_fit = n_train + n_dev
     examples = [
         Example(id=ex_id, tokens=tokens, label=label, concepts={"adjectives": int(ratio > median)},
-                domain=domain, pair_id=ex_id if i >= n_fit else None)
-        for i, (ex_id, (domain, label, tokens), ratio) in enumerate(zip(ids, drafts, ratios))
+                domain=domain)
+        for ex_id, (domain, label, tokens), ratio in zip(ids, drafts, ratios)
     ]
     meta = BundleMeta(
         seed=seed,
@@ -177,18 +173,5 @@ def generate_review_corpus(grammar: ReviewGrammar | None = None,
         lexicon_info={"frames": len(grammar.frames), "topic_word_rate": grammar.topic_word_rate,
                       "ratio_median": median},
     )
-    bundle = CorpusBundle(
-        train=examples[:n_train],
-        dev=examples[n_train:n_fit],
-        test=examples[n_fit:],
-        pairs=[],
-        meta=meta,
-    )
-    bundle.validate(max_tokens=31)
-    bundle = apply_ratio_bias(bundle, adjective_ratio, bias.version)
-
-    pairs = [ExamplePair(factual=ex, counterfactual=delete_adjectives(ex), concept="adjectives")
-             for ex in bundle.test]
-    for pair in pairs:
-        pair.validate()
-    return replace(bundle, pairs=pairs)
+    bundle = assemble(examples, meta, lambda index, ex: [delete_adjectives(ex)])
+    return apply_ratio_bias(bundle, adjective_ratio, bias.version)

@@ -2,12 +2,15 @@
 
 Bundles are generated as pure functions of (config, seed) and are treated as
 immutable once built; they are safe to share across threads, and shards with
-disjoint sub-seeds can be generated in parallel.
+disjoint sub-seeds can be generated in parallel.  ``assemble`` owns the
+64/16/20 split and pairs test examples with their twins; ``CorpusBundle.pairs``
+is the only record of a pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 _TWIN_MARK = "~cf~"
 
@@ -55,7 +58,6 @@ class Example:
     label: int
     concepts: dict[str, int]
     domain: str | None = None
-    pair_id: str | None = None
 
     def validate(self, n_labels: int, max_tokens: int | None = None,
                  required_concepts: tuple[str, ...] = ()):
@@ -80,8 +82,9 @@ class ExamplePair:
     concept: str
 
     def validate(self):
-        if self.factual.pair_id is None or self.factual.pair_id != self.counterfactual.pair_id:
-            raise CorpusError(f"pair for {self.factual.id}: members do not share pair_id")
+        if twin_origin(self.counterfactual.id) != (self.factual.id, self.concept):
+            raise CorpusError(f"pair for {self.factual.id}: {self.counterfactual.id!r} is not "
+                              f"its {self.concept!r} twin")
         if self.factual.label != self.counterfactual.label:
             raise CorpusError(f"pair for {self.factual.id}: labels differ")
 
@@ -90,11 +93,11 @@ def twin(factual: Example, concept: str, tokens: tuple[TaggedToken, ...],
          concepts: dict[str, int]) -> Example:
     """The counterfactual twin of ``factual`` with ``concept`` intervened on.
 
-    The twin keeps the factual label, domain and ``pair_id``; its id is
+    The twin keeps the factual label and domain; its id is
     ``<factual-id>~cf~<concept>``, which ``twin_origin`` parses back.
     """
     return Example(id=f"{factual.id}{_TWIN_MARK}{concept}", tokens=tokens, label=factual.label,
-                   concepts=concepts, domain=factual.domain, pair_id=factual.pair_id)
+                   concepts=concepts, domain=factual.domain)
 
 
 def twin_origin(twin_id: str) -> tuple[str, str]:
@@ -202,13 +205,6 @@ class CorpusBundle:
                 if ex.id in seen:
                     raise CorpusError(f"example id {ex.id} appears in two splits")
                 seen.add(ex.id)
-        total = len(seen)
-        if total:
-            for split_name, frac in zip(("train", "dev", "test"), SPLIT_FRACTIONS):
-                size = len(getattr(self, split_name))
-                if abs(size - frac * total) > 1.0:
-                    raise CorpusError(
-                        f"{split_name} split has {size} of {total} examples, expected {frac:.0%} +/- 1")
         for pair in self.pairs:
             pair.validate()
 
@@ -218,3 +214,21 @@ def split_sizes(n: int) -> tuple[int, int, int]:
     n_train = round(SPLIT_FRACTIONS[0] * n)
     n_dev = round(SPLIT_FRACTIONS[1] * n)
     return n_train, n_dev, n - n_train - n_dev
+
+
+def assemble(examples: list[Example], meta: BundleMeta,
+             twins: Callable[[int, Example], Iterable[Example]]) -> CorpusBundle:
+    """The validated 64/16/20 split of ``examples``, each test example paired with
+    the ``twin``-built examples that ``twins(index, example)`` gives for it."""
+    sizes = split_sizes(len(examples))
+    for split_name, size, frac in zip(("train", "dev", "test"), sizes, SPLIT_FRACTIONS):
+        if abs(size - frac * len(examples)) > 1.0:
+            raise CorpusError(f"{split_name} split has {size} of {len(examples)} examples, "
+                              f"expected {frac:.0%} +/- 1")
+    n_fit = sizes[0] + sizes[1]
+    pairs = [ExamplePair(factual=ex, counterfactual=cf, concept=twin_origin(cf.id)[1])
+             for index, ex in enumerate(examples[n_fit:], start=n_fit) for cf in twins(index, ex)]
+    bundle = CorpusBundle(train=examples[:sizes[0]], dev=examples[sizes[0]:n_fit],
+                          test=examples[n_fit:], pairs=pairs, meta=meta)
+    bundle.validate(max_tokens=31)
+    return bundle

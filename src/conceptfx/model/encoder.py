@@ -106,17 +106,15 @@ def encoder_forward(ids: np.ndarray, params: dict[str, ad.Tensor], config: Encod
     attn_bias = ad.constant(pad_bias[:, None, None, :])
     scale = 1.0 / np.sqrt(config.head_dim)
 
+    layer = -1  # the embeddings; block i is layer i and the pooler is config.layers
     try:
         x = ad.embedding(params["emb.tok"], ids)
         x = ad.add(x, ad.embedding(params["emb.pos"], np.arange(L)))
         x = ad.layer_norm(x, params["emb.ln_g"], params["emb.ln_b"])
         x = ad.dropout(x, p, dropout_rng, training)
-    except ad.NonFiniteError as e:
-        raise EncoderError(str(e), layer=-1) from e
 
-    for i in range(config.layers):
-        prefix = f"layer{i}."
-        try:
+        for layer in range(config.layers):
+            prefix = f"layer{layer}."
             q = ad.add(ad.matmul(x, params[prefix + "attn.wq"]), params[prefix + "attn.bq"])
             k = ad.add(ad.matmul(x, params[prefix + "attn.wk"]), params[prefix + "attn.bk"])
             v = ad.add(ad.matmul(x, params[prefix + "attn.wv"]), params[prefix + "attn.bv"])
@@ -134,14 +132,12 @@ def encoder_forward(ids: np.ndarray, params: dict[str, ad.Tensor], config: Encod
             o = ad.dropout(ad.add(ad.matmul(h, params[prefix + "ffn.w2"]), params[prefix + "ffn.b2"]),
                            p, dropout_rng, training)
             x = ad.layer_norm(ad.add(x, o), params[prefix + "ln2_g"], params[prefix + "ln2_b"])
-        except ad.NonFiniteError as e:
-            raise EncoderError(str(e), layer=i) from e
 
-    try:
+        layer = config.layers
         cls_state = ad.gather_positions(x, np.arange(B), np.zeros(B, dtype=np.int64))
         pooled = ad.tanh(ad.add(ad.matmul(cls_state, params["pooler.w"]), params["pooler.b"]))
     except ad.NonFiniteError as e:
-        raise EncoderError(str(e), layer=config.layers) from e
+        raise EncoderError(str(e), layer=layer) from e
     return x, pooled
 
 

@@ -15,7 +15,7 @@ from conceptfx.corpus import (BiasSpec, BundleMeta, CorpusBundle, CorpusError,
                               generate_review_corpus, measure_correlation,
                               read_jsonl, write_jsonl)
 from conceptfx.corpus.poms import Template
-from conceptfx.corpus.types import split_sizes
+from conceptfx.corpus.types import split_sizes, twin_origin
 
 
 def phi_coefficient(pairs):
@@ -140,7 +140,7 @@ class TestPomsGeneration:
         bundle = generate_poms_corpus(n=50, seed=seed)
         for pair in bundle.pairs:
             assert pair.factual.label == pair.counterfactual.label
-            assert pair.factual.pair_id == pair.counterfactual.pair_id
+            assert twin_origin(pair.counterfactual.id) == (pair.factual.id, pair.concept)
             flipped_slots = {"person-name"}
             if pair.concept == "gender":
                 flipped_slots.add("gender-pronoun")

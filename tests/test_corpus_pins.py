@@ -50,7 +50,7 @@ def test_example_fields_are_frozen():
     bundle = generate_review_corpus(n=50, seed=1)
     for ex in (bundle.test[0], bundle.pairs[0].counterfactual):
         with pytest.raises(dataclasses.FrozenInstanceError):
-            ex.pair_id = "other"
+            ex.label = 1 - ex.label
 
 
 def test_review_corpus_rejects_poms_bias():

@@ -39,6 +39,17 @@ def _unmarked_twin(lines):
     lines[-1] = json.dumps(record)
 
 
+def _set(index, key, value):
+    """Corrupter that sets ``key`` in the record on ``lines[index]``."""
+    def corrupt(lines):
+        record = json.loads(lines[index])
+        record[key] = value
+        lines[index] = json.dumps(record)
+    return corrupt
+
+
+# A POMS n=50 file: header, 32 train, 8 dev and 10 test records (lines 2-51),
+# then the gender and race twins of each test record (lines 52-71).
 @pytest.mark.parametrize("corrupt, match", [
     (_drop_seed, "line 1: malformed header"),
     (_string_provenance, "line 1: malformed header"),
@@ -47,8 +58,16 @@ def _unmarked_twin(lines):
     (_list_concepts, r"line \d+: malformed example record"),
     (_list_id, r"line \d+: example id must be a string"),
     (_unmarked_twin, "lacks the ~cf~<concept> suffix"),
+    (_set(1, "label", 99), "line 2: example poms-000000: label 99 out of range"),
+    (_set(1, "concepts", {"gender": 7, "race": 0}), "line 2: .*concept 'gender' not binary"),
+    (_set(-1, "id", "poms-999999~cf~race"), "line 71: .*unknown example 'poms-999999'"),
+    (_set(-1, "pair_id", "poms-000048"), "line 71: .*pair_id 'poms-000048'"),
+    (_set(1, "pair_id", "zzz"), "line 2: .*pair_id 'zzz'"),
+    (_set(1, "pair_id", "poms-000000"), "line 2: .*has a pair_id but no counterfactual"),
+    (_set(50, "pair_id", None), "line 70: .*must both have pair_id 'poms-000049'"),
 ], ids=["no-seed", "string-provenance", "list-header", "list-record", "list-concepts",
-        "list-id", "unmarked-twin"])
+        "list-id", "unmarked-twin", "label-99", "non-binary-concept", "unknown-factual",
+        "twin-pair-id", "factual-pair-id", "pair-id-without-twin", "twin-of-unpaired"])
 def test_read_jsonl_rejects_malformed_file(tmp_path, corrupt, match):
     path = tmp_path / "corpus.jsonl"
     write_jsonl(generate_poms_corpus(n=50, seed=8), path)

@@ -221,6 +221,19 @@ class TestEncoder:
         with pytest.raises(EncoderError):
             EncoderConfig(vocab_size=10, dim=10, heads=3)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("name, layer", [
+        ("emb.ln_g", -1), ("layer0.ffn.w1", 0), ("layer1.attn.wv", 1), ("pooler.w", 2),
+    ])
+    def test_non_finite_activation_names_its_layer(self, name, layer):
+        from conceptfx.model.encoder import EncoderError
+        vocab, config, params = self._setup()
+        params[name].data[...] = np.inf
+        ids, _ = encode_batch([_adjective_example(1, 3)], vocab, config.max_len)
+        with pytest.raises(EncoderError, match=f"^layer {layer}: ") as info:
+            encoder_forward(ids, params, config, mode="eval")
+        assert info.value.layer == layer
+
 
 class TestHeads:
     def test_zero_weights_give_uniform_softmax(self):
