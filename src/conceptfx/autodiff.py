@@ -2,10 +2,12 @@
 
 Provides exactly the primitives the encoder and its heads need: matmul, add,
 elementwise mul, embedding gather, layer norm, softmax, GELU (tanh
-approximation, fixed), dropout with a counter-based RNG stream, cross entropy
-with an ignore index, plus a gradient-reversal node whose forward pass is the
-identity and whose backward pass multiplies the upstream gradient by a
-negative scalar.
+approximation, fixed), dropout with a counter-based RNG stream (the identity
+at ``p == 0``), mean cross entropy over all rows (no ignore index: an MLM loss
+takes the ``gather_positions`` rows of the masked positions), plus a
+gradient-reversal node whose forward pass is the identity and whose backward
+pass multiplies the upstream gradient by a negative scalar.  Ops take
+``Tensor`` operands only; ids, positions and targets are integer arrays.
 
 A ``Tape`` records primitive applications in execution order; reversed
 execution order is a valid topological order, so ``Tape.backward`` visits each
@@ -139,10 +141,6 @@ def _active_tape():
     return _ACTIVE_TAPES[-1] if _ACTIVE_TAPES else None
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x))
-
-
 def _check_finite(data, op):
     if not np.all(np.isfinite(data)):
         raise NonFiniteError(f"op {op!r} produced non-finite values")
@@ -172,10 +170,9 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 # Primitives
 # ---------------------------------------------------------------------------
 
-def matmul(a, b) -> Tensor:
-    """Matrix product; supports batched ``a`` against 2-D or batched ``b``."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.shape[-1] != b.data.shape[-2 if b.ndim > 1 else 0]:
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product of 2-D or batched operands; ``b`` may be 2-D under a batched ``a``."""
+    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
     out = a.data @ b.data
 
@@ -195,8 +192,7 @@ def matmul(a, b) -> Tensor:
     return _make("matmul", out, (a, b), backward)
 
 
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def add(a: Tensor, b: Tensor) -> Tensor:
     try:
         np.broadcast_shapes(a.shape, b.shape)
     except ValueError as e:
@@ -212,8 +208,7 @@ def add(a, b) -> Tensor:
     return _make("add", out, (a, b), backward)
 
 
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def mul(a: Tensor, b: Tensor) -> Tensor:
     try:
         np.broadcast_shapes(a.shape, b.shape)
     except ValueError as e:
@@ -229,9 +224,8 @@ def mul(a, b) -> Tensor:
     return _make("mul", out, (a, b), backward)
 
 
-def scale(x, c: float) -> Tensor:
+def scale(x: Tensor, c: float) -> Tensor:
     """Multiply by a python scalar constant."""
-    x = _as_tensor(x)
     c = float(c)
     out = x.data * c
 
@@ -258,15 +252,17 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     return _make("embedding", out, (table,), backward)
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
+LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
-    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     if gain.shape != x.shape[-1:] or bias.shape != x.shape[-1:]:
         raise ShapeError("layer_norm gain/bias must match the last axis")
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * inv
     out = xhat * gain.data + bias.data
 
@@ -289,9 +285,8 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     return _make("layer_norm", out, (x, gain, bias), backward)
 
 
-def softmax(x) -> Tensor:
+def softmax(x: Tensor) -> Tensor:
     """Softmax over the last axis."""
-    x = _as_tensor(x)
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=-1, keepdims=True)
@@ -306,9 +301,8 @@ def softmax(x) -> Tensor:
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 
 
-def gelu(x) -> Tensor:
+def gelu(x: Tensor) -> Tensor:
     """GELU with the tanh approximation (fixed, for cross-build determinism)."""
-    x = _as_tensor(x)
     xd = x.data
     u = _GELU_C * (xd + 0.044715 * xd**3)
     t = np.tanh(u)
@@ -322,8 +316,7 @@ def gelu(x) -> Tensor:
     return _make("gelu", out, (x,), backward)
 
 
-def tanh(x) -> Tensor:
-    x = _as_tensor(x)
+def tanh(x: Tensor) -> Tensor:
     t = np.tanh(x.data)
 
     def backward(g):
@@ -350,13 +343,12 @@ class DropoutRng:
         return rng.random(shape) < keep_prob
 
 
-def dropout(x, p: float, rng: DropoutRng | None, training: bool) -> Tensor:
-    """Inverted dropout; identity when not training or ``p == 0``."""
-    x = _as_tensor(x)
-    if not training or p == 0.0:
+def dropout(x: Tensor, p: float, rng: DropoutRng | None) -> Tensor:
+    """Inverted dropout; the identity when ``p == 0``."""
+    if p == 0.0:
         return x
     if rng is None:
-        raise AutodiffError("dropout in training mode requires a DropoutRng")
+        raise AutodiffError("dropout with p > 0 requires a DropoutRng")
     if not 0.0 <= p < 1.0:
         raise AutodiffError(f"dropout probability out of range: {p}")
     keep = 1.0 - p
@@ -369,50 +361,41 @@ def dropout(x, p: float, rng: DropoutRng | None, training: bool) -> Tensor:
     return _make("dropout", out, (x,), backward)
 
 
-def cross_entropy(logits, targets: np.ndarray, ignore_index: int | None = None) -> Tensor:
-    """Mean cross entropy of ``[N, C]`` logits against integer targets.
+def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """Mean cross entropy of ``[N, C]`` logits against ``N`` integer targets.
 
-    Positions equal to ``ignore_index`` contribute nothing (needed for MLM,
-    where the loss is computed only on masked positions).  With zero valid
-    positions the loss is 0 with zero gradient.
+    Every row counts; for an MLM loss, pass the ``gather_positions`` rows of
+    the masked positions.  With ``N == 0`` (no position masked in a batch)
+    the loss is 0 with zero gradient.
     """
-    logits = _as_tensor(logits)
     targets = np.asarray(targets)
     if logits.ndim != 2 or targets.shape != (logits.shape[0],):
         raise ShapeError(f"cross_entropy expects [N, C] logits and [N] targets, got {logits.shape} / {targets.shape}")
-    if ignore_index is None:
-        valid = np.ones(targets.shape, dtype=bool)
-    else:
-        valid = targets != ignore_index
-    safe_targets = np.where(valid, targets, 0)
-    if safe_targets.size and (safe_targets.min() < 0 or safe_targets.max() >= logits.shape[1]):
+    if targets.size and (targets.min() < 0 or targets.max() >= logits.shape[1]):
         raise ShapeError("cross_entropy target out of class range")
-    n_valid = int(valid.sum())
 
     ld = logits.data
+    n = ld.shape[0]
+    rows = np.arange(n)
     m = ld.max(axis=-1, keepdims=True)
     e = np.exp(ld - m)
     lse = m[:, 0] + np.log(e.sum(axis=-1))
-    nll = lse - ld[np.arange(ld.shape[0]), safe_targets]
-    if n_valid == 0:
-        out = np.zeros((), dtype=ld.dtype)
-    else:
-        out = np.asarray(nll[valid].sum() / n_valid, dtype=ld.dtype)
+    nll = lse - ld[rows, targets]
+    out = np.asarray(nll.sum() / n if n else 0.0, dtype=ld.dtype)
 
     def backward(g):
-        if n_valid == 0:
+        if n == 0:
             return (np.zeros_like(ld),)
         p = e / e.sum(axis=-1, keepdims=True)
-        p[np.arange(ld.shape[0]), safe_targets] -= 1.0
-        p *= (valid.astype(ld.dtype) / n_valid)[:, None]
+        p[rows, targets] -= 1.0
+        p *= ld.dtype.type(1.0) / n
         return (p * g,)
 
     return _make("cross_entropy", out, (logits,), backward)
 
 
-def grad_reverse(x, lam: float) -> Tensor:
+def grad_reverse(x: Tensor, lam: float) -> Tensor:
     """Identity forward; backward passes ``-lam * g`` to the input."""
-    x = _as_tensor(x)
     if lam < 0:
         raise AutodiffError(f"grad_reverse lambda must be >= 0, got {lam}")
     lam = float(lam)
@@ -424,8 +407,7 @@ def grad_reverse(x, lam: float) -> Tensor:
     return _make("grad_reverse", out, (x,), backward)
 
 
-def reshape(x, shape) -> Tensor:
-    x = _as_tensor(x)
+def reshape(x: Tensor, shape) -> Tensor:
     out = x.data.reshape(shape)
     old = x.shape
 
@@ -435,8 +417,7 @@ def reshape(x, shape) -> Tensor:
     return _make("reshape", out, (x,), backward)
 
 
-def transpose(x, axes) -> Tensor:
-    x = _as_tensor(x)
+def transpose(x: Tensor, axes) -> Tensor:
     out = x.data.transpose(axes)
     inverse = np.argsort(axes)
 
@@ -446,9 +427,8 @@ def transpose(x, axes) -> Tensor:
     return _make("transpose", out, (x,), backward)
 
 
-def gather_positions(x, batch_idx: np.ndarray, pos_idx: np.ndarray) -> Tensor:
+def gather_positions(x: Tensor, batch_idx: np.ndarray, pos_idx: np.ndarray) -> Tensor:
     """Select ``x[batch_idx[i], pos_idx[i], :]`` rows from ``[B, L, D]``."""
-    x = _as_tensor(x)
     if x.ndim != 3:
         raise ShapeError(f"gather_positions expects a rank-3 input, got {x.shape}")
     batch_idx = np.asarray(batch_idx)
@@ -463,25 +443,22 @@ def gather_positions(x, batch_idx: np.ndarray, pos_idx: np.ndarray) -> Tensor:
     return _make("gather_positions", out, (x,), backward)
 
 
-def sum_axis(x, axis: int, keepdims: bool = False) -> Tensor:
-    x = _as_tensor(x)
-    out = x.data.sum(axis=axis, keepdims=keepdims)
+def sum_axis(x: Tensor, axis: int) -> Tensor:
+    out = x.data.sum(axis=axis)
 
     def backward(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, x.shape).copy(),)
+        return (np.broadcast_to(np.expand_dims(g, axis), x.shape).copy(),)
 
     return _make("sum_axis", out, (x,), backward)
 
 
-def concat(a, b, axis: int = -1) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = np.concatenate([a.data, b.data], axis=axis)
-    split = a.shape[axis if axis >= 0 else a.ndim + axis]
+def concat(a: Tensor, b: Tensor) -> Tensor:
+    """Join along the last axis."""
+    out = np.concatenate([a.data, b.data], axis=-1)
+    split = a.shape[-1]
 
     def backward(g):
-        ga, gb = np.split(g, [split], axis=axis)
+        ga, gb = np.split(g, [split], axis=-1)
         return (
             ga if a.requires_grad else None,
             gb if b.requires_grad else None,
@@ -489,7 +466,3 @@ def concat(a, b, axis: int = -1) -> Tensor:
 
     return _make("concat", out, (a, b), backward)
 
-
-def constant(data, dtype=None) -> Tensor:
-    """A non-trainable tensor (e.g. attention masks, scaling factors)."""
-    return Tensor(np.asarray(data), requires_grad=False, dtype=dtype)

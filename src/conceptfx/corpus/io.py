@@ -117,7 +117,8 @@ def read_jsonl(path) -> CorpusBundle:
         raise CorpusError(f"line 1: malformed header: {e!r}") from e
     splits: dict[str, list[Example]] = {"train": [], "dev": [], "test": []}
     factuals: dict[str, Example] = {}
-    pair_lines: dict[str, int] = {}  # factual id -> its line, for factuals with a pair_id
+    id_lines: dict[str, int] = {}  # example id -> its line
+    with_pair_id: set[str] = set()  # factual ids whose pair_id is set
     pairs: list[ExamplePair] = []
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -133,25 +134,29 @@ def read_jsonl(path) -> CorpusBundle:
             raise CorpusError(f"line {line_no}: unknown split {split!r}")
         try:
             ex, pair_id = _parse_example(record, meta)
-            if split != "cf":
+            origin = twin_origin(ex.id) if split == "cf" else None
+            if ex.id in id_lines:
+                raise CorpusError(f"example id {ex.id!r} already appears on line {id_lines[ex.id]}")
+            id_lines[ex.id] = line_no
+            if origin is None:
                 if pair_id not in (None, ex.id):
                     raise CorpusError(f"example {ex.id!r} has pair_id {pair_id!r}, neither null nor its id")
                 splits[split].append(ex)
                 factuals[ex.id] = ex
                 if pair_id is not None:
-                    pair_lines[ex.id] = line_no
+                    with_pair_id.add(ex.id)
                 continue
-            factual_id, concept = twin_origin(ex.id)
+            factual_id, concept = origin
             if factual_id not in factuals:
                 raise CorpusError(f"counterfactual {ex.id!r} references unknown example {factual_id!r}")
-            if pair_id != factual_id or factual_id not in pair_lines:
+            if pair_id != factual_id or factual_id not in with_pair_id:
                 raise CorpusError(f"counterfactual {ex.id!r} (pair_id {pair_id!r}) and example "
                                   f"{factual_id!r} must both have pair_id {factual_id!r}")
             pairs.append(ExamplePair(factual=factuals[factual_id], counterfactual=ex, concept=concept))
             pairs[-1].validate()
         except CorpusError as e:
             raise CorpusError(f"line {line_no}: {e}") from e
-    unpaired = [(pair_lines[i], i) for i in pair_lines.keys() - {p.factual.id for p in pairs}]
+    unpaired = [(id_lines[i], i) for i in with_pair_id - {p.factual.id for p in pairs}]
     if unpaired:
         line_no, factual_id = min(unpaired)
         raise CorpusError(f"line {line_no}: example {factual_id!r} has a pair_id but no counterfactual")

@@ -221,10 +221,6 @@ def assemble(examples: list[Example], meta: BundleMeta,
     """The validated 64/16/20 split of ``examples``, each test example paired with
     the ``twin``-built examples that ``twins(index, example)`` gives for it."""
     sizes = split_sizes(len(examples))
-    for split_name, size, frac in zip(("train", "dev", "test"), sizes, SPLIT_FRACTIONS):
-        if abs(size - frac * len(examples)) > 1.0:
-            raise CorpusError(f"{split_name} split has {size} of {len(examples)} examples, "
-                              f"expected {frac:.0%} +/- 1")
     n_fit = sizes[0] + sizes[1]
     pairs = [ExamplePair(factual=ex, counterfactual=cf, concept=twin_origin(cf.id)[1])
              for index, ex in enumerate(examples[n_fit:], start=n_fit) for cf in twins(index, ex)]

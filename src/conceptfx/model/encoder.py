@@ -88,22 +88,24 @@ def encoder_forward(ids: np.ndarray, params: dict[str, ad.Tensor], config: Encod
                     mode: str = "train", dropout_rng: ad.DropoutRng | None = None):
     """Run the encoder; returns (token states [B, L, D], pooled state [B, D]).
 
-    ``mode`` is ``"train"`` (dropout active, requires ``dropout_rng``) or
-    ``"eval"`` (deterministic).  Non-finite activations raise ``EncoderError``
-    carrying the failing layer index.
+    ``mode`` is ``"train"`` (dropout at ``config.dropout``, which needs a
+    ``dropout_rng`` when positive) or ``"eval"`` (no dropout, deterministic).
+    Non-finite activations raise ``EncoderError`` carrying the failing layer
+    index.
     """
     if mode not in ("train", "eval"):
         raise EncoderError(f"unknown mode {mode!r}")
-    training = mode == "train"
+    p = config.dropout if mode == "train" else 0.0
+    if p > 0.0 and dropout_rng is None:
+        raise EncoderError(f"train mode with dropout {p} needs a dropout_rng")
     ids = np.asarray(ids)
     if ids.ndim != 2 or ids.shape[1] > config.max_len:
         raise EncoderError(f"ids must be [B, L<= {config.max_len}], got {ids.shape}")
     B, L = ids.shape
     dtype = params["emb.tok"].dtype
-    p = config.dropout if training else 0.0
 
     pad_bias = np.where(ids == PAD_ID, ATTN_MASK_BIAS, 0.0).astype(dtype)
-    attn_bias = ad.constant(pad_bias[:, None, None, :])
+    attn_bias = ad.Tensor(pad_bias[:, None, None, :])
     scale = 1.0 / np.sqrt(config.head_dim)
 
     layer = -1  # the embeddings; block i is layer i and the pooler is config.layers
@@ -111,7 +113,7 @@ def encoder_forward(ids: np.ndarray, params: dict[str, ad.Tensor], config: Encod
         x = ad.embedding(params["emb.tok"], ids)
         x = ad.add(x, ad.embedding(params["emb.pos"], np.arange(L)))
         x = ad.layer_norm(x, params["emb.ln_g"], params["emb.ln_b"])
-        x = ad.dropout(x, p, dropout_rng, training)
+        x = ad.dropout(x, p, dropout_rng)
 
         for layer in range(config.layers):
             prefix = f"layer{layer}."
@@ -122,15 +124,15 @@ def encoder_forward(ids: np.ndarray, params: dict[str, ad.Tensor], config: Encod
             k = ad.transpose(ad.reshape(k, (B, L, config.heads, config.head_dim)), (0, 2, 3, 1))
             v = ad.transpose(ad.reshape(v, (B, L, config.heads, config.head_dim)), (0, 2, 1, 3))
             scores = ad.add(ad.scale(ad.matmul(q, k), scale), attn_bias)
-            attn = ad.dropout(ad.softmax(scores), p, dropout_rng, training)
+            attn = ad.dropout(ad.softmax(scores), p, dropout_rng)
             ctx = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)), (B, L, config.dim))
             out = ad.dropout(ad.add(ad.matmul(ctx, params[prefix + "attn.wo"]),
-                                    params[prefix + "attn.bo"]), p, dropout_rng, training)
+                                    params[prefix + "attn.bo"]), p, dropout_rng)
             x = ad.layer_norm(ad.add(x, out), params[prefix + "ln1_g"], params[prefix + "ln1_b"])
             # feed-forward
             h = ad.gelu(ad.add(ad.matmul(x, params[prefix + "ffn.w1"]), params[prefix + "ffn.b1"]))
             o = ad.dropout(ad.add(ad.matmul(h, params[prefix + "ffn.w2"]), params[prefix + "ffn.b2"]),
-                           p, dropout_rng, training)
+                           p, dropout_rng)
             x = ad.layer_norm(ad.add(x, o), params[prefix + "ln2_g"], params[prefix + "ln2_b"])
 
         layer = config.layers
@@ -146,9 +148,9 @@ def sequence_features(states, pooled, ids: np.ndarray):
     dtype = states.dtype
     mask = (np.asarray(ids) != PAD_ID).astype(dtype)
     counts = mask.sum(axis=1, keepdims=True)
-    masked = ad.mul(states, ad.constant(mask[:, :, None]))
-    mean = ad.mul(ad.sum_axis(masked, axis=1), ad.constant((1.0 / counts).astype(dtype)))
-    return ad.concat(pooled, mean, axis=-1)
+    masked = ad.mul(states, ad.Tensor(mask[:, :, None]))
+    mean = ad.mul(ad.sum_axis(masked, axis=1), ad.Tensor((1.0 / counts).astype(dtype)))
+    return ad.concat(pooled, mean)
 
 
 def feature_dim(config: EncoderConfig) -> int:

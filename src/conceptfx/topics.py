@@ -12,7 +12,6 @@ parallel.  Fitting is deterministic under (docs, T, alpha, beta, iters, seed).
 
 from __future__ import annotations
 
-import random
 import warnings
 from dataclasses import dataclass, field
 
@@ -90,58 +89,51 @@ def fit_lda(docs, T: int, alpha: float | None = None, beta: float = 0.01,
         raise TopicError("no tokens in any document")
     encoded = [[word_id[w] for w in doc] for doc in docs]
     D = len(docs)
-
-    rng = random.Random(seed)
-    n_dk = [[0] * T for _ in range(D)]
-    n_kw = [[0] * V for _ in range(T)]
-    n_k = [0] * T
-    assignments = []
-    for d, doc in enumerate(encoded):
-        z_doc = []
-        row = n_dk[d]
-        for w in doc:
-            k = rng.randrange(T)
-            z_doc.append(k)
-            row[k] += 1
-            n_kw[k][w] += 1
-            n_k[k] += 1
-        assignments.append(z_doc)
+    doc_lens = [len(doc) for doc in encoded]
+    # Token i of the corpus, flattened in document order, is word words[i] of
+    # document doc_of[i]; it has topic z[i] and, in each sweep, uniform us[i].
+    doc_of = np.repeat(np.arange(D), doc_lens)
+    words = np.array([w for doc in encoded for w in doc])
+    N = len(words)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 303)))
+    z = rng.integers(T, size=N)
+    n_dk = np.zeros((D, T), dtype=np.int64)
+    np.add.at(n_dk, (doc_of, z), 1)
+    n_kw = np.zeros((T, V), dtype=np.int64)
+    np.add.at(n_kw, (z, words), 1)
+    n_k = np.bincount(z, minlength=T).tolist()
+    n_dk, n_kw, z = n_dk.tolist(), n_kw.tolist(), z.tolist()
+    tokens = list(zip(doc_of.tolist(), words.tolist()))
 
     vbeta = V * beta
     probs = [0.0] * T
-    doc_lens = [len(doc) for doc in encoded]
     for sweep in range(iters):
-        for d, doc in enumerate(encoded):
+        us = rng.random(N).tolist()
+        for i, (d, w) in enumerate(tokens):
             row = n_dk[d]
-            z_doc = assignments[d]
-            for pos, w in enumerate(doc):
-                k_old = z_doc[pos]
-                row[k_old] -= 1
-                n_kw[k_old][w] -= 1
-                n_k[k_old] -= 1
-                total = 0.0
-                for k in range(T):
-                    p = (row[k] + alpha) * (n_kw[k][w] + beta) / (n_k[k] + vbeta)
-                    total += p
-                    probs[k] = total
-                u = rng.random() * total
-                k_new = 0
-                while probs[k_new] < u:
-                    k_new += 1
-                z_doc[pos] = k_new
-                row[k_new] += 1
-                n_kw[k_new][w] += 1
-                n_k[k_new] += 1
+            k_old = z[i]
+            row[k_old] -= 1
+            n_kw[k_old][w] -= 1
+            n_k[k_old] -= 1
+            total = 0.0
+            for k in range(T):
+                p = (row[k] + alpha) * (n_kw[k][w] + beta) / (n_k[k] + vbeta)
+                total += p
+                probs[k] = total
+            u = us[i] * total
+            k_new = 0
+            while probs[k_new] < u:
+                k_new += 1
+            z[i] = k_new
+            row[k_new] += 1
+            n_kw[k_new][w] += 1
+            n_k[k_new] += 1
         if (sweep + 1) % _CHECK_EVERY == 0:
             _check_counts(n_dk, n_kw, n_k, doc_lens, sweep + 1)
     _check_counts(n_dk, n_kw, n_k, doc_lens, iters)
 
-    theta = np.empty((D, T))
-    for d in range(D):
-        if doc_lens[d] == 0:
-            theta[d] = 1.0 / T
-        else:
-            theta[d] = (np.array(n_dk[d]) + alpha) / (doc_lens[d] + T * alpha)
+    lens = np.array(doc_lens, dtype=float)[:, None]
+    theta = np.where(lens > 0, (np.array(n_dk, dtype=float) + alpha) / (lens + T * alpha), 1.0 / T)
     topic_word = (np.array(n_kw, dtype=float) + beta) / (np.array(n_k, dtype=float)[:, None] + vbeta)
     return TopicModel(T=T, alpha=alpha, beta=beta, iters=iters, seed=seed,
                       vocab=vocab, doc_ids=list(doc_ids), theta=theta,

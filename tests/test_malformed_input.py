@@ -65,9 +65,12 @@ def _set(index, key, value):
     (_set(1, "pair_id", "zzz"), "line 2: .*pair_id 'zzz'"),
     (_set(1, "pair_id", "poms-000000"), "line 2: .*has a pair_id but no counterfactual"),
     (_set(50, "pair_id", None), "line 70: .*must both have pair_id 'poms-000049'"),
+    (lambda lines: lines.insert(2, lines[1]), "line 3: .*'poms-000000' already appears on line 2"),
+    (lambda lines: lines.append(lines[-1]), r"line 72: .*'poms-000049~cf~race' already appears on line 71"),
 ], ids=["no-seed", "string-provenance", "list-header", "list-record", "list-concepts",
         "list-id", "unmarked-twin", "label-99", "non-binary-concept", "unknown-factual",
-        "twin-pair-id", "factual-pair-id", "pair-id-without-twin", "twin-of-unpaired"])
+        "twin-pair-id", "factual-pair-id", "pair-id-without-twin", "twin-of-unpaired",
+        "repeated-factual", "repeated-twin"])
 def test_read_jsonl_rejects_malformed_file(tmp_path, corrupt, match):
     path = tmp_path / "corpus.jsonl"
     write_jsonl(generate_poms_corpus(n=50, seed=8), path)

@@ -183,6 +183,13 @@ class TestEncoder:
         s2, _ = encoder_forward(ids, params, config, mode="train", dropout_rng=ad.DropoutRng(1))
         np.testing.assert_array_equal(s1.data, s2.data)
 
+    def test_train_mode_dropout_needs_rng(self):
+        from conceptfx.model.encoder import EncoderError
+        vocab, config, params = self._setup()
+        ids, _ = encode_batch([_adjective_example(1, 5)], vocab, config.max_len)
+        with pytest.raises(EncoderError, match="needs a dropout_rng"):
+            encoder_forward(ids, params, config, mode="train")
+
     def test_pad_tail_invariance(self):
         vocab, config, params = self._setup(dtype=np.float64)
         tokens = ["alpha", "beta", "gamma"]

@@ -1,5 +1,6 @@
 """LDA fitting, treated/control topic selection and median binarization."""
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -41,6 +42,14 @@ class TestFitLda:
         b = fit_lda(docs, T=4, iters=5, seed=3)
         assert a.theta.tobytes() == b.theta.tobytes()
         assert a.topic_word.tobytes() == b.topic_word.tobytes()
+
+    def test_pinned_fit(self):
+        # sha256 of the fit from the numpy SeedSequence((seed, tag)) sampler.
+        model = fit_lda(two_cluster_docs(), T=4, iters=5, seed=3)
+        assert hashlib.sha256(model.theta.tobytes()).hexdigest() == (
+            "a685d82856750d03b8fce665c5887c597c64450e855568028a9fe526207e594a")
+        assert hashlib.sha256(model.topic_word.tobytes()).hexdigest() == (
+            "3b253daaaf3237976be3e2bf706626c277217df4eb73c4e4f0b9f6ce3e90e2a8")
 
     def test_empty_document_warns_and_gets_uniform_row(self):
         docs = [["x", "y"], [], ["y", "z", "x"]]
