@@ -14,6 +14,13 @@ execution order is a valid topological order, so ``Tape.backward`` visits each
 node exactly once and accumulates gradients additively on fan-out.  A tape is
 single-threaded; distinct tapes may run in parallel.  Every op checks its
 output for NaN/Inf and raises ``NonFiniteError`` on detection.
+
+Kernels allocate only their output, the arrays their backward keeps, and at
+most two scratch arrays, updating those in place.  They never write into an
+operand's ``.data`` or into the upstream gradient ``g``: an output may be a
+view of an operand (``reshape``, ``transpose``, ``grad_reverse``), and a
+backward may pass ``g`` itself on to several inputs (``add``), whose
+gradients ``Tape.backward`` then accumulates.
 """
 
 from __future__ import annotations
@@ -156,6 +163,14 @@ def _make(op, out_data, inputs, backward_fn) -> Tensor:
     return out
 
 
+def _check_index(op: str, what: str, idx: np.ndarray, bound: int):
+    """Raise ``ShapeError`` unless ``idx`` holds integers in ``[0, bound)``."""
+    if not np.issubdtype(idx.dtype, np.integer):
+        raise ShapeError(f"{op} {what} must be integers")
+    if idx.size and (idx.min() < 0 or idx.max() >= bound):
+        raise ShapeError(f"{op} {what} out of range [0, {bound})")
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     extra = g.ndim - len(shape)
     if extra > 0:
@@ -171,9 +186,14 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of 2-D or batched operands; ``b`` may be 2-D under a batched ``a``."""
+    """Matrix product of 2-D or batched operands; ``b`` may be 2-D under a batched ``a``.
+
+    Batch axes do not broadcast: ``b`` is 2-D or has the leading dims of ``a``.
+    """
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
+    if b.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
+        raise ShapeError(f"matmul batch dims differ: {a.shape} @ {b.shape}")
     out = a.data @ b.data
 
     def backward(g):
@@ -238,10 +258,7 @@ def scale(x: Tensor, c: float) -> Tensor:
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     """Gather rows of ``table`` (shape ``[V, D]``) at integer ``ids``."""
     ids = np.asarray(ids)
-    if not np.issubdtype(ids.dtype, np.integer):
-        raise ShapeError("embedding ids must be integers")
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise ShapeError(f"embedding ids out of range [0, {table.shape[0]})")
+    _check_index("embedding", "ids", ids, table.shape[0])
     out = table.data[ids]
 
     def backward(g):
@@ -259,12 +276,14 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     if gain.shape != x.shape[-1:] or bias.shape != x.shape[-1:]:
         raise ShapeError("layer_norm gain/bias must match the last axis")
+    if gain.dtype != x.dtype or bias.dtype != x.dtype:
+        raise ShapeError(f"layer_norm operands differ in dtype: {x.dtype}, {gain.dtype}, {bias.dtype}")
     mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = xc * inv
-    out = xhat * gain.data + bias.data
+    xhat = x.data - mu
+    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
+    xhat *= inv
+    out = xhat * gain.data
+    out += bias.data
 
     def backward(g):
         gx = ggain = gbias = None
@@ -274,12 +293,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         if bias.requires_grad:
             gbias = g.sum(axis=lead)
         if x.requires_grad:
-            dxhat = g * gain.data
-            gx = inv * (
-                dxhat
-                - dxhat.mean(axis=-1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-            )
+            # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), built in gx
+            gx = g * gain.data
+            m1 = gx.mean(axis=-1, keepdims=True)
+            prod = gx * xhat
+            m2 = prod.mean(axis=-1, keepdims=True)
+            np.multiply(xhat, m2, out=prod)
+            gx -= m1
+            gx -= prod
+            gx *= inv
         return gx, ggain, gbias
 
     return _make("layer_norm", out, (x, gain, bias), backward)
@@ -287,13 +309,16 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 def softmax(x: Tensor) -> Tensor:
     """Softmax over the last axis."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
+    s = x.data - x.data.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        dot = (g * s).sum(axis=-1, keepdims=True)
-        return (s * (g - dot),)
+        gx = g * s
+        dot = gx.sum(axis=-1, keepdims=True)
+        np.subtract(g, dot, out=gx)
+        gx *= s
+        return (gx,)
 
     return _make("softmax", s, (x,), backward)
 
@@ -303,15 +328,33 @@ _GELU_C = float(np.sqrt(2.0 / np.pi))
 
 def gelu(x: Tensor) -> Tensor:
     """GELU with the tanh approximation (fixed, for cross-build determinism)."""
+    # t = tanh(C * (x + 0.044715 * x * x * x)) and out = 0.5 * x * (1 + t).  The cube
+    # is two multiplies: numpy's float32 pow takes ~90x as long.
     xd = x.data
-    u = _GELU_C * (xd + 0.044715 * xd**3)
-    t = np.tanh(u)
-    out = 0.5 * xd * (1.0 + t)
+    t = xd * xd
+    t *= xd
+    t *= 0.044715
+    t += xd
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = xd * 0.5
+    out *= t + 1.0
 
     def backward(g):
-        du = _GELU_C * (1.0 + 3 * 0.044715 * xd**2)
-        dx = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * du
-        return (g * dx,)
+        # 0.5 * (1 + t) + 0.5 * x * (1 - t * t) * du with du = C * (1 + 3 * 0.044715 * x * x)
+        a = t * t
+        np.subtract(1.0, a, out=a)
+        b = xd * 0.5
+        b *= a
+        np.multiply(xd, xd, out=a)
+        a *= 3 * 0.044715
+        a += 1.0
+        a *= _GELU_C
+        b *= a
+        np.add(t, 1.0, out=a)
+        a *= 0.5
+        a += b
+        return (g * a,)
 
     return _make("gelu", out, (x,), backward)
 
@@ -371,8 +414,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     targets = np.asarray(targets)
     if logits.ndim != 2 or targets.shape != (logits.shape[0],):
         raise ShapeError(f"cross_entropy expects [N, C] logits and [N] targets, got {logits.shape} / {targets.shape}")
-    if targets.size and (targets.min() < 0 or targets.max() >= logits.shape[1]):
-        raise ShapeError("cross_entropy target out of class range")
+    _check_index("cross_entropy", "targets", targets, logits.shape[1])
 
     ld = logits.data
     n = ld.shape[0]
@@ -433,6 +475,11 @@ def gather_positions(x: Tensor, batch_idx: np.ndarray, pos_idx: np.ndarray) -> T
         raise ShapeError(f"gather_positions expects a rank-3 input, got {x.shape}")
     batch_idx = np.asarray(batch_idx)
     pos_idx = np.asarray(pos_idx)
+    if batch_idx.ndim != 1 or batch_idx.shape != pos_idx.shape:
+        raise ShapeError(f"gather_positions expects two equal-length 1-D index arrays, "
+                         f"got {batch_idx.shape} / {pos_idx.shape}")
+    _check_index("gather_positions", "batch indices", batch_idx, x.shape[0])
+    _check_index("gather_positions", "position indices", pos_idx, x.shape[1])
     out = x.data[batch_idx, pos_idx]
 
     def backward(g):

@@ -1,5 +1,10 @@
 """Unit tests for the reverse-mode engine: primitives, tape, gradient reversal."""
 
+import hashlib
+import inspect
+import re
+import time
+
 import numpy as np
 import pytest
 
@@ -39,6 +44,17 @@ def _param(rng, shape):
     return ad.Tensor(rng.standard_normal(shape), requires_grad=True, dtype=np.float64)
 
 
+def _forward_and_grads(op, tensors, g):
+    """Run ``op(*tensors)`` on a tape; return its output and its node's ``backward_fn(g)``."""
+    with ad.Tape() as tape:
+        out = op(*tensors)
+    return out, tape._nodes[-1].backward_fn(g)
+
+
+def _digest(arr: np.ndarray) -> str:
+    return hashlib.sha256(arr.tobytes()).hexdigest()[:16]
+
+
 class TestPrimitiveValues:
     def test_softmax_symmetry(self):
         out = ad.softmax(ad.Tensor([[0.0, 0.0]]))
@@ -66,11 +82,36 @@ class TestPrimitiveValues:
         with pytest.raises(ad.ShapeError):
             ad.matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 3))))
 
-    @pytest.mark.parametrize("a_shape, b_shape", [((2, 3), (3,)), ((2, 2, 3), (3,)), ((3,), (3, 2))])
+    @pytest.mark.parametrize("a_shape, b_shape", [((2, 3), (3,)), ((2, 2, 3), (3,)), ((3,), (3, 2)),
+                                                  ((3, 4), (2, 4, 5)), ((2, 3, 4), (1, 4, 5))])
     def test_matmul_rejects_a_1d_operand(self, a_shape, b_shape):
-        # numpy runs these forward, but the backward pass has no rule for a 1-D operand.
+        # numpy runs these forward, but the backward pass has no rule for a 1-D operand,
+        # and summed no broadcast batch axis out of a gradient (a.grad came back (2, 3, 4)).
         with pytest.raises(ad.ShapeError):
             ad.matmul(ad.Tensor(np.ones(a_shape)), ad.Tensor(np.ones(b_shape)))
+
+    def test_layer_norm_rejects_mixed_dtypes(self):
+        # The in-place bias add would cast a float64 bias's sum back to float32.
+        x, gain = ad.Tensor(np.ones((2, 4)), dtype=np.float32), ad.Tensor(np.ones(4), dtype=np.float32)
+        with pytest.raises(ad.ShapeError):
+            ad.layer_norm(x, gain, ad.Tensor(np.zeros(4)))
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda x: ad.cross_entropy(ad.Tensor(np.zeros((2, 3))), np.array([0.0, 1.0])),
+                     id="float-targets"),
+        pytest.param(lambda x: ad.gather_positions(x, [5], [0]), id="batch-out-of-range"),
+        pytest.param(lambda x: ad.gather_positions(x, [-1], [0]), id="negative-batch"),
+        pytest.param(lambda x: ad.gather_positions(x, [0], [3]), id="position-out-of-range"),
+        pytest.param(lambda x: ad.gather_positions(x, [0], [-1]), id="negative-position"),
+        pytest.param(lambda x: ad.gather_positions(x, [0, 1], [0]), id="unequal-lengths"),
+        pytest.param(lambda x: ad.gather_positions(x, [0.0], [1]), id="float-batch"),
+        pytest.param(lambda x: ad.gather_positions(x, [[0, 1]], [[1, 2]]), id="2d-indices"),
+    ])
+    def test_index_ops_reject_bad_indices(self, call):
+        # numpy raised IndexError for some of these and wrapped or broadcast the others.
+        x = ad.Tensor(np.ones((2, 3, 4)))
+        with pytest.raises(ad.ShapeError):
+            call(x)
 
     def test_dropout_eval_is_identity(self):
         x = ad.Tensor(np.arange(6.0).reshape(2, 3))
@@ -166,6 +207,120 @@ class TestPrimitiveGradients:
     def test_scale(self):
         x = _param(self.rng, (3, 3))
         check_grad(lambda: ad.sum_axis(ad.reshape(ad.scale(ad.gelu(x), -2.5), (9,)), 0), {"x": x})
+
+
+class TestKernelBits:
+    """Layer norm, softmax and GELU outputs and gradients, byte for byte.
+
+    The in-place kernels evaluate the same operations in the same order as
+    the out-of-place ones the sha256 pins were taken from (numpy 2.4 on
+    x86-64 with AVX-512).  numpy's SIMD ``exp`` may round differently on
+    another CPU family, so a pin that moves there is checked against the
+    previous commit on that machine.
+    """
+
+    # "<op>/<dtype>": digests of the output, then of each returned gradient.
+    PINNED = {
+        "layer_norm/float32": ["1b4dd107a44f73da", "8df5fbd757ca6040", "c1ebd3a683efc9e5", "97ea4877fe4e7cda"],
+        "layer_norm/float64": ["5b6a055e9e9c8471", "823f8fe1d44a93f3", "640585c5543c3c39", "6cee12333b6bc217"],
+        "softmax/float32": ["69b48a2944c0084e", "da72104d05747b8b"],
+        "softmax/float64": ["f16f2399da18866c", "01ebb8656cc4841f"],
+    }
+
+    @staticmethod
+    def _inputs(shape, dtype):
+        rng = np.random.default_rng(11)
+        x = ad.Tensor(rng.standard_normal(shape), requires_grad=True, dtype=dtype)
+        g = rng.standard_normal(shape).astype(dtype)
+        return rng, x, g
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_layer_norm(self, dtype):
+        rng, x, g = self._inputs((8, 32, 64), dtype)
+        gain = ad.Tensor(1.0 + 0.1 * rng.standard_normal(64), requires_grad=True, dtype=dtype)
+        bias = ad.Tensor(0.1 * rng.standard_normal(64), requires_grad=True, dtype=dtype)
+        out, grads = _forward_and_grads(ad.layer_norm, (x, gain, bias), g)
+        assert [_digest(a) for a in (out.data, *grads)] == self.PINNED[f"layer_norm/{dtype}"]
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_softmax(self, dtype):
+        _, x, g = self._inputs((8, 4, 32, 32), dtype)
+        out, grads = _forward_and_grads(ad.softmax, (x,), g)
+        assert [_digest(a) for a in (out.data, *grads)] == self.PINNED[f"softmax/{dtype}"]
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_gelu_matches_written_out_formula(self, dtype):
+        _, x, g = self._inputs((8, 32, 64), dtype)
+        x.data *= 3
+        xd = x.data
+        c = float(np.sqrt(2.0 / np.pi))
+        t = np.tanh(c * (xd + 0.044715 * (xd * xd * xd)))
+        want_out = 0.5 * xd * (1.0 + t)
+        want_grad = g * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * (c * (1.0 + 3 * 0.044715 * (xd * xd))))
+        out, (grad,) = _forward_and_grads(ad.gelu, (x,), g)
+        assert out.data.tobytes() == want_out.tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
+
+    def test_gelu_costs_a_few_tanh(self):
+        # A float32 ``pow`` in the cube made gelu ~165x one np.tanh; x*x*x makes it ~6x.
+        x = ad.Tensor(np.random.default_rng(0).standard_normal((32, 32, 256)), dtype=np.float32)
+
+        def best_of_5(fn):
+            times = []
+            for _ in range(5):
+                start = time.perf_counter()
+                fn()
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        ratio = best_of_5(lambda: ad.gelu(x)) / best_of_5(lambda: np.tanh(x.data))
+        assert ratio < 25, f"gelu forward costs {ratio:.0f}x one np.tanh"
+
+
+# One call per op: the op and the shapes of its float64 operands.
+_EVERY_OP = {
+    "matmul": (ad.matmul, [(2, 3, 4), (4, 5)]),
+    "add": (ad.add, [(3, 4), (4,)]),
+    "mul": (ad.mul, [(3, 4), (3, 1)]),
+    "scale": (lambda x: ad.scale(x, -2.5), [(3, 4)]),
+    "embedding": (lambda t: ad.embedding(t, np.array([[0, 3, 3], [6, 1, 0]])), [(7, 3)]),
+    "layer_norm": (ad.layer_norm, [(2, 3, 5), (5,), (5,)]),
+    "softmax": (ad.softmax, [(2, 3, 4)]),
+    "gelu": (ad.gelu, [(3, 4)]),
+    "tanh": (ad.tanh, [(3, 4)]),
+    "dropout": (lambda x: ad.dropout(x, 0.5, ad.DropoutRng(3)), [(3, 4)]),
+    "cross_entropy": (lambda z: ad.cross_entropy(z, np.array([0, 2, 1, 2])), [(4, 3)]),
+    "grad_reverse": (lambda x: ad.grad_reverse(x, 1.5), [(3, 4)]),
+    "reshape": (lambda x: ad.reshape(x, (3, 4)), [(2, 6)]),
+    "transpose": (lambda x: ad.transpose(x, (2, 0, 1)), [(2, 3, 4)]),
+    "gather_positions": (lambda x: ad.gather_positions(x, np.array([0, 1, 1]), np.array([2, 0, 2])),
+                         [(2, 3, 4)]),
+    "sum_axis": (lambda x: ad.sum_axis(x, 1), [(2, 3)]),
+    "concat": (ad.concat, [(2, 3), (2, 2)]),
+}
+
+
+class TestNoAliasing:
+    """No op writes into an operand's ``.data`` or into its upstream gradient."""
+
+    def test_every_op_is_covered(self):
+        made = set(re.findall(r'_make\(\s*"(\w+)"', inspect.getsource(ad)))
+        assert made == set(_EVERY_OP)
+
+    @pytest.mark.parametrize("name", sorted(_EVERY_OP))
+    def test_operands_and_upstream_gradient_unchanged(self, name):
+        op, shapes = _EVERY_OP[name]
+        rng = np.random.default_rng(4)
+        operands = [_param(rng, shape) for shape in shapes]
+        before = [t.data.tobytes() for t in operands]
+        with ad.Tape() as tape:
+            out = op(*operands)
+        assert [t.data.tobytes() for t in operands] == before
+        g = rng.standard_normal(out.shape)
+        g_before = g.tobytes()
+        tape._nodes[-1].backward_fn(g)
+        assert g.tobytes() == g_before
+        assert [t.data.tobytes() for t in operands] == before
 
 
 class TestStage2Gradients:
