@@ -17,7 +17,7 @@ import json
 from importlib import resources
 from pathlib import Path
 
-from .types import (BundleMeta, CorpusBundle, CorpusError, Example,
+from .types import (BIAS_VERSIONS, BundleMeta, CorpusBundle, CorpusError, Example,
                     ExamplePair, SLOT_KINDS, TaggedToken, twin_origin)
 
 SCHEMA_VERSION = 1
@@ -90,6 +90,29 @@ def _parse_example(record: dict, meta: BundleMeta) -> tuple[Example, str | None]
     return ex, pair_id
 
 
+def _parse_header(header: dict) -> BundleMeta:
+    """The header's metadata, with the type of every field checked."""
+    def bad(what: str) -> CorpusError:
+        return CorpusError(f"line 1: malformed header: {what}")
+
+    try:
+        seed, version = header["seed"], header["bias_version"]
+        lists = {key: header[key] for key in ("concepts", "label_names", "domains")}
+    except KeyError as e:
+        raise bad(f"missing {e}") from e
+    provenance = header.get("provenance", {})
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise bad(f"seed {seed!r} is not an int")
+    if version not in BIAS_VERSIONS:
+        raise bad(f"unknown bias_version {version!r}")
+    for key, value in lists.items():
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise bad(f"{key} {value!r} is not a list of strings")
+    if not isinstance(provenance, dict):
+        raise bad(f"provenance {provenance!r} is not an object")
+    return BundleMeta(seed=seed, bias_version=version, lexicon_info=provenance, **lists)
+
+
 def read_jsonl(path) -> CorpusBundle:
     """Parse a corpus file; malformed lines raise with their line number."""
     text = Path(path).read_text(encoding="utf-8")
@@ -104,17 +127,7 @@ def read_jsonl(path) -> CorpusBundle:
         raise CorpusError(f"line 1: header must be a JSON object, got {type(header).__name__}")
     if header.get("schema_version") != SCHEMA_VERSION:
         raise CorpusError(f"line 1: unsupported schema_version {header.get('schema_version')!r}")
-    try:
-        meta = BundleMeta(
-            seed=header["seed"],
-            bias_version=header["bias_version"],
-            concepts=list(header["concepts"]),
-            label_names=list(header["label_names"]),
-            domains=list(header["domains"]),
-            lexicon_info=dict(header.get("provenance", {})),
-        )
-    except (KeyError, TypeError, ValueError) as e:
-        raise CorpusError(f"line 1: malformed header: {e!r}") from e
+    meta = _parse_header(header)
     splits: dict[str, list[Example]] = {"train": [], "dev": [], "test": []}
     factuals: dict[str, Example] = {}
     id_lines: dict[str, int] = {}  # example id -> its line

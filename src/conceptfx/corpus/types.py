@@ -10,7 +10,8 @@ is the only record of a pair.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping
 
 _TWIN_MARK = "~cf~"
 
@@ -51,13 +52,19 @@ class TaggedToken:
 
 @dataclass(frozen=True)
 class Example:
-    """A tagged token sequence with task label and binary concept values."""
+    """A tagged token sequence with task label and binary concept values.
+
+    ``concepts`` is stored as a read-only copy of the mapping it is given.
+    """
 
     id: str
     tokens: tuple[TaggedToken, ...]
     label: int
-    concepts: dict[str, int]
+    concepts: Mapping[str, int]
     domain: str | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "concepts", MappingProxyType(dict(self.concepts)))
 
     def validate(self, n_labels: int, max_tokens: int | None = None,
                  required_concepts: tuple[str, ...] = ()):

@@ -90,8 +90,8 @@ def encoder_forward(ids: np.ndarray, params: dict[str, ad.Tensor], config: Encod
 
     ``mode`` is ``"train"`` (dropout at ``config.dropout``, which needs a
     ``dropout_rng`` when positive) or ``"eval"`` (no dropout, deterministic).
-    Non-finite activations raise ``EncoderError`` carrying the failing layer
-    index.
+    A failing op (a non-finite activation, an id outside the vocabulary)
+    raises ``EncoderError`` carrying the failing layer index.
     """
     if mode not in ("train", "eval"):
         raise EncoderError(f"unknown mode {mode!r}")
@@ -99,8 +99,8 @@ def encoder_forward(ids: np.ndarray, params: dict[str, ad.Tensor], config: Encod
     if p > 0.0 and dropout_rng is None:
         raise EncoderError(f"train mode with dropout {p} needs a dropout_rng")
     ids = np.asarray(ids)
-    if ids.ndim != 2 or ids.shape[1] > config.max_len:
-        raise EncoderError(f"ids must be [B, L<= {config.max_len}], got {ids.shape}")
+    if ids.ndim != 2 or not 0 < ids.shape[1] <= config.max_len:
+        raise EncoderError(f"ids must be [B, 0 < L <= {config.max_len}], got {ids.shape}")
     B, L = ids.shape
     dtype = params["emb.tok"].dtype
 
@@ -138,7 +138,7 @@ def encoder_forward(ids: np.ndarray, params: dict[str, ad.Tensor], config: Encod
         layer = config.layers
         cls_state = ad.gather_positions(x, np.arange(B), np.zeros(B, dtype=np.int64))
         pooled = ad.tanh(ad.add(ad.matmul(cls_state, params["pooler.w"]), params["pooler.b"]))
-    except ad.NonFiniteError as e:
+    except ad.AutodiffError as e:
         raise EncoderError(str(e), layer=layer) from e
     return x, pooled
 

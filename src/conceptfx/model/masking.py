@@ -32,14 +32,6 @@ class MaskingPlan:
     binary_targets: np.ndarray | None = None # 1 = adjective (token-kind task)
     imbalance: int = 0                       # shortfall of non-adjective picks
 
-    def __post_init__(self):
-        n = len(self.positions)
-        if len(self.actions) != n or len(self.replacements) != n:
-            raise MaskingError("plan arrays must align with selected positions")
-        for target in (self.mlm_targets, self.binary_targets):
-            if target is not None and len(target) != n:
-                raise MaskingError("targets must cover exactly the selected positions")
-
     def __len__(self):
         return len(self.positions)
 

@@ -2,9 +2,9 @@
 
 Fits per-document topic proportions, selects the treated topic for a domain
 as the topic whose mean per-document proportion is most elevated inside that
-domain relative to outside it (the control topic repeats the selection with
-the treated topic excluded), and binarizes proportions at the corpus-wide
-median to produce the binary topic-prediction task labels.
+domain relative to outside it (the control topic is the runner-up), and
+binarizes proportions at the corpus-wide median to produce the binary
+topic-prediction task labels.
 
 A Gibbs sweep is sequential per model; independent seeds/models can run in
 parallel.  Fitting is deterministic under (docs, T, alpha, beta, iters, seed).
@@ -71,13 +71,15 @@ def fit_lda(docs, T: int, alpha: float | None = None, beta: float = 0.01,
     """
     if T < 1:
         raise TopicError(f"topic count must be >= 1, got {T}")
+    if alpha is None:
+        alpha = 50.0 / T
+    if not (alpha > 0 and beta > 0 and iters >= 0):
+        raise TopicError(f"need alpha > 0, beta > 0 and iters >= 0, got {alpha}, {beta}, {iters}")
     docs = [list(doc) for doc in docs]
     if doc_ids is None:
         doc_ids = [f"doc-{i}" for i in range(len(docs))]
     if len(doc_ids) != len(docs):
         raise TopicError("doc_ids must align with docs")
-    if alpha is None:
-        alpha = 50.0 / T
     empty = [doc_ids[i] for i, doc in enumerate(docs) if not doc]
     if empty:
         warnings.warn(f"{len(empty)} empty documents excluded from topic fitting", stacklevel=2)
@@ -147,8 +149,11 @@ def fit_lda_corpus(bundle, T: int, iters: int = 500, seed: int = 0) -> TopicMode
     return fit_lda(docs, T, iters=iters, seed=seed, doc_ids=[ex.id for ex in examples])
 
 
-def domain_scores(model: TopicModel, example_domains, domain: str) -> np.ndarray:
-    """Per-topic mean proportion inside the domain minus mean outside it."""
+def assign_topics(model: TopicModel, example_domains, domain: str) -> TopicAssignment:
+    """Treated and control topics (ties to the lowest id) and their labels:
+    1 where the topic proportion strictly exceeds its corpus-wide median."""
+    if model.T < 2:
+        raise TopicError("topic selection needs T >= 2")
     domains = list(example_domains)
     if len(domains) != len(model.doc_ids):
         raise TopicError("example_domains must align with the fitted documents")
@@ -157,44 +162,9 @@ def domain_scores(model: TopicModel, example_domains, domain: str) -> np.ndarray
         raise TopicError(f"domain {domain!r} absent from the corpus")
     if inside.all():
         raise TopicError("selection needs at least 2 domains")
-    return model.theta[inside].mean(axis=0) - model.theta[~inside].mean(axis=0)
-
-
-def select_tc_topic(model: TopicModel, example_domains, domain: str,
-                    exclude: set[int] | None = None) -> int:
-    """Argmax of the in-vs-out domain score; ties break to the lowest id."""
-    if model.T < 2:
-        raise TopicError("topic selection needs T >= 2")
-    scores = domain_scores(model, example_domains, domain)
-    order = [t for t in range(model.T) if not (exclude and t in exclude)]
-    if not order:
-        raise TopicError("all topics excluded")
-    best = order[0]
-    for t in order[1:]:
-        if scores[t] > scores[best]:
-            best = t
-    return best
-
-
-def binarize_by_median(model: TopicModel, topic: int) -> np.ndarray:
-    """1 where the topic proportion strictly exceeds its corpus-wide median."""
-    if not 0 <= topic < model.T:
-        raise TopicError(f"topic {topic} out of range")
-    column = model.theta[:, topic]
-    median = float(np.median(column))
-    return (column > median).astype(np.int64)
-
-
-def assign_topics(model: TopicModel, example_domains, domain: str) -> TopicAssignment:
-    t_tc = select_tc_topic(model, example_domains, domain)
-    t_cc = select_tc_topic(model, example_domains, domain, exclude={t_tc})
-    medians = {
-        t_tc: float(np.median(model.theta[:, t_tc])),
-        t_cc: float(np.median(model.theta[:, t_cc])),
-    }
-    return TopicAssignment(
-        t_tc=t_tc, t_cc=t_cc, medians=medians,
-        itt=binarize_by_median(model, t_tc),
-        ict=binarize_by_median(model, t_cc),
-        doc_ids=list(model.doc_ids),
-    )
+    scores = model.theta[inside].mean(axis=0) - model.theta[~inside].mean(axis=0)
+    t_tc, t_cc = (int(t) for t in np.argsort(-scores, kind="stable")[:2])
+    medians = {t: float(np.median(model.theta[:, t])) for t in (t_tc, t_cc)}
+    itt, ict = ((model.theta[:, t] > medians[t]).astype(np.int64) for t in (t_tc, t_cc))
+    return TopicAssignment(t_tc=t_tc, t_cc=t_cc, medians=medians, itt=itt, ict=ict,
+                           doc_ids=list(model.doc_ids))

@@ -1,6 +1,7 @@
 """Corpus generation, bias injection, correlation, and JSONL round-trips."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -258,19 +259,23 @@ class TestRatioBias:
             apply_ratio_bias(bundle, score, "gentle")
 
 
+def with_gender(bundle, gender):
+    """The bundle with each example's gender concept set to ``gender(example)``."""
+    def split(examples):
+        return [replace(ex, concepts={**ex.concepts, "gender": gender(ex)}) for ex in examples]
+    return replace(bundle, train=split(bundle.train), dev=split(bundle.dev), test=split(bundle.test))
+
+
 class TestCorrelation:
     def test_constant_concept_errors(self):
-        bundle = generate_poms_corpus(n=50, seed=1)
-        for ex in bundle.all_examples():
-            ex.concepts["gender"] = 1
+        bundle = with_gender(generate_poms_corpus(n=50, seed=1), lambda ex: 1)
         with pytest.raises(UndefinedCorrelationError):
             measure_correlation(bundle, "gender")
 
     def test_perfect_alignment_is_one(self):
         bundle = generate_poms_corpus(n=50, seed=1)
         joy = bundle.meta.label_names.index("joy")
-        for ex in bundle.all_examples():
-            ex.concepts["gender"] = 1 if ex.label == joy else 0
+        bundle = with_gender(bundle, lambda ex: 1 if ex.label == joy else 0)
         assert measure_correlation(bundle, "gender") == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_independent_recomputation(self):

@@ -53,6 +53,17 @@ def test_example_fields_are_frozen():
             ex.label = 1 - ex.label
 
 
+def test_example_concepts_are_read_only():
+    bundle = generate_poms_corpus(n=50, seed=1)
+    concepts = {"gender": 1, "race": 0}
+    ex = dataclasses.replace(bundle.train[0], concepts=concepts)
+    concepts["gender"] = 0  # the example holds its own copy
+    assert ex.concepts == {"gender": 1, "race": 0} == dict(ex.concepts)
+    for example in (ex, bundle.pairs[0].counterfactual):
+        with pytest.raises(TypeError):
+            example.concepts["gender"] = 1
+
+
 def test_review_corpus_rejects_poms_bias():
     with pytest.raises(CorpusError, match="gender"):
         generate_review_corpus(bias=BiasSpec.poms("gentle"), n=50, seed=1)

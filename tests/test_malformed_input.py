@@ -21,6 +21,15 @@ def _string_provenance(lines):
     lines[0] = json.dumps(header)
 
 
+def _header(key, value):
+    """Corrupter that sets ``key`` in the header line."""
+    def corrupt(lines):
+        header = json.loads(lines[0])
+        header[key] = value
+        lines[0] = json.dumps(header)
+    return corrupt
+
+
 def _list_concepts(lines):
     record = json.loads(lines[-1])
     record["concepts"] = [1, 0]
@@ -54,6 +63,13 @@ def _set(index, key, value):
     (_drop_seed, "line 1: malformed header"),
     (_string_provenance, "line 1: malformed header"),
     (lambda lines: lines.__setitem__(0, "[1, 2]"), "line 1: header must be a JSON object"),
+    (_header("label_names", "abcd"), "line 1: .*label_names 'abcd' is not a list of strings"),
+    (_header("domains", "ab"), "line 1: .*domains 'ab' is not a list of strings"),
+    (_header("concepts", ["gender", 1]), "line 1: .*concepts .* is not a list of strings"),
+    (_header("seed", "x"), "line 1: .*seed 'x' is not an int"),
+    (_header("seed", True), "line 1: .*seed True is not an int"),
+    (_header("bias_version", 7), "line 1: .*unknown bias_version 7"),
+    (_header("provenance", [["a", 1]]), r"line 1: .*provenance \[\['a', 1\]\] is not an object"),
     (lambda lines: lines.__setitem__(2, "[1]"), "line 3: record must be a JSON object"),
     (_list_concepts, r"line \d+: malformed example record"),
     (_list_id, r"line \d+: example id must be a string"),
@@ -67,7 +83,9 @@ def _set(index, key, value):
     (_set(50, "pair_id", None), "line 70: .*must both have pair_id 'poms-000049'"),
     (lambda lines: lines.insert(2, lines[1]), "line 3: .*'poms-000000' already appears on line 2"),
     (lambda lines: lines.append(lines[-1]), r"line 72: .*'poms-000049~cf~race' already appears on line 71"),
-], ids=["no-seed", "string-provenance", "list-header", "list-record", "list-concepts",
+], ids=["no-seed", "string-provenance", "list-header", "string-label-names", "string-domains",
+        "int-in-concepts", "string-seed", "bool-seed", "int-bias-version", "list-provenance",
+        "list-record", "list-concepts",
         "list-id", "unmarked-twin", "label-99", "non-binary-concept", "unknown-factual",
         "twin-pair-id", "factual-pair-id", "pair-id-without-twin", "twin-of-unpaired",
         "repeated-factual", "repeated-twin"])

@@ -241,6 +241,22 @@ class TestEncoder:
             encoder_forward(ids, params, config, mode="eval")
         assert info.value.layer == layer
 
+    def test_empty_sequences_rejected(self):
+        from conceptfx.model.encoder import EncoderError
+        _, config, params = self._setup()
+        with pytest.raises(EncoderError, match=r"got \(2, 0\)") as info:
+            encoder_forward(np.zeros((2, 0), dtype=np.int64), params, config, mode="eval")
+        assert info.value.layer is None
+
+    def test_out_of_vocabulary_id_names_the_embeddings(self):
+        from conceptfx.model.encoder import EncoderError
+        vocab, config, params = self._setup()
+        ids, _ = encode_batch([_adjective_example(1, 3)], vocab, config.max_len)
+        ids[0, 1] = config.vocab_size
+        with pytest.raises(EncoderError, match="^layer -1: ") as info:
+            encoder_forward(ids, params, config, mode="eval")
+        assert info.value.layer == -1
+
 
 class TestHeads:
     def test_zero_weights_give_uniform_softmax(self):

@@ -6,7 +6,7 @@ import pytest
 from conceptfx.autodiff import Tensor
 from conceptfx.checkpoint import (CheckpointError, checkpoint_hash,
                                   load_checkpoint, save_checkpoint)
-from conceptfx.optim import Adam, AdamState, OptimError, adam_step
+from conceptfx.optim import Adam, OptimError
 
 
 def scalar_adam_reference(g_seq, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, x0=0.0):
@@ -21,40 +21,48 @@ def scalar_adam_reference(g_seq, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, x0=0
     return x
 
 
+def _adam_run(grad_seq, x0=0.0, lr=1e-3):
+    """Drive ``Adam`` on one float64 parameter through a sequence of gradients."""
+    x = Tensor(np.atleast_1d(np.asarray(x0, dtype=float)), requires_grad=True)
+    opt = Adam({"x": x}, lr=lr)
+    for g in grad_seq:
+        x.grad = np.atleast_1d(np.asarray(g, dtype=float))
+        opt.step()
+    return x.data
+
+
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
-        params = {"w": np.array([1.0, -2.0])}
-        adam_step(params, {"w": np.zeros(2)}, AdamState())
-        np.testing.assert_array_equal(params["w"], [1.0, -2.0])
+        w = _adam_run([np.zeros(2)], x0=[1.0, -2.0])
+        np.testing.assert_array_equal(w, [1.0, -2.0])
 
     def test_single_step_matches_scalar_reference(self):
-        params = {"x": np.array([0.0])}
-        adam_step(params, {"x": np.array([1.0])}, AdamState(), lr=1e-3)
-        assert params["x"][0] == pytest.approx(scalar_adam_reference([1.0]), abs=1e-15)
+        x = _adam_run([1.0], lr=1e-3)
+        assert x[0] == pytest.approx(scalar_adam_reference([1.0]), abs=1e-15)
 
     def test_trajectory_matches_scalar_reference(self):
         g_seq = [1.0, -0.5, 0.25, 2.0, -1.0]
-        params = {"x": np.array([0.0])}
-        state = AdamState()
-        for g in g_seq:
-            adam_step(params, {"x": np.array([g])}, state, lr=1e-3)
-        assert params["x"][0] == pytest.approx(scalar_adam_reference(g_seq), abs=1e-14)
+        x = _adam_run(g_seq, lr=1e-3)
+        assert x[0] == pytest.approx(scalar_adam_reference(g_seq), abs=1e-14)
 
     def test_deterministic_trajectories(self):
         def run():
             rng = np.random.default_rng(5)
-            params = {"w": rng.standard_normal(8)}
-            state = AdamState()
-            for _ in range(20):
-                adam_step(params, {"w": rng.standard_normal(8)}, state)
-            return params["w"]
+            x0 = rng.standard_normal(8)
+            return _adam_run([rng.standard_normal(8) for _ in range(20)], x0=x0)
         np.testing.assert_array_equal(run(), run())
 
     def test_non_finite_gradient_aborts(self):
-        params = {"w": np.ones(2)}
-        with pytest.raises(OptimError, match="w"):
-            adam_step(params, {"w": np.array([1.0, np.nan])}, AdamState())
-        np.testing.assert_array_equal(params["w"], np.ones(2))
+        a = Tensor(np.ones(3), requires_grad=True)
+        w = Tensor(np.ones(2), requires_grad=True)
+        opt = Adam({"a": a, "w": w})
+        a.grad = np.ones(3)
+        w.grad = np.array([1.0, np.nan])
+        with pytest.raises(OptimError, match="'w'"):
+            opt.step()
+        np.testing.assert_array_equal(a.data, np.ones(3))
+        np.testing.assert_array_equal(w.data, np.ones(2))
+        assert (opt.t, opt.m, opt.v) == (0, {}, {})
 
     def test_wrapper_reads_tensor_grads(self):
         p = Tensor(np.zeros(3), requires_grad=True)

@@ -6,8 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conceptfx.topics import (TopicError, TopicModel, assign_topics,
-                              binarize_by_median, fit_lda, select_tc_topic)
+from conceptfx.topics import TopicError, TopicModel, assign_topics, fit_lda
 
 
 def two_cluster_docs(n_per_cluster=10, length=20, n_words=8, seed=0):
@@ -62,12 +61,15 @@ class TestFitLda:
         ([["a"]], {"T": 0}, "topic count"),
         ([[], []], {"T": 2}, "no tokens"),
         ([["a"], ["b"]], {"T": 2, "doc_ids": ["only-one"]}, "align"),
+        ([["a"], ["b"]], {"T": 2, "beta": -1.0}, "beta > 0"),
+        ([["a"], ["b"]], {"T": 2, "alpha": -1.0}, "alpha > 0"),
+        ([["a"], ["b"]], {"T": 2, "iters": -3}, "iters >= 0"),
     ])
     def test_typed_errors(self, docs, kwargs, match):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises(TopicError, match=match):
-                fit_lda(docs, iters=1, **kwargs)
+                fit_lda(docs, **{"iters": 1, **kwargs})
 
     @pytest.mark.parametrize("seed", range(20))
     def test_two_disjoint_clusters_separate(self, seed):
@@ -84,11 +86,11 @@ class TestSelection:
         model = hand_model([[0.1, 0.3, 0.6], [0.1, 0.3, 0.6],
                             [0.5, 0.3, 0.2], [0.5, 0.3, 0.2]])
         # Topic 1 scores 0 in both domains; topics 0 and 2 are +/-0.4.
-        assert select_tc_topic(model, self.DOMAINS, "books") == 2
-        assert select_tc_topic(model, self.DOMAINS, "books", exclude={2}) == 1
+        a = assign_topics(model, self.DOMAINS, "books")
+        assert (a.t_tc, a.t_cc) == (2, 1)
         flat = hand_model([[0.25] * 4] * 4)
-        assert select_tc_topic(flat, self.DOMAINS, "dvd") == 0
-        assert select_tc_topic(flat, self.DOMAINS, "dvd", exclude={0}) == 1
+        a = assign_topics(flat, self.DOMAINS, "dvd")
+        assert (a.t_tc, a.t_cc) == (0, 1)
 
     def test_assign_topics_picks_distinct_topics(self):
         model = hand_model([[0.7, 0.2, 0.1], [0.6, 0.3, 0.1],
@@ -96,8 +98,8 @@ class TestSelection:
         a = assign_topics(model, self.DOMAINS, "books")
         assert (a.t_tc, a.t_cc) == (0, 1)
         assert a.t_tc != a.t_cc
-        np.testing.assert_array_equal(a.itt, binarize_by_median(model, 0))
-        np.testing.assert_array_equal(a.ict, binarize_by_median(model, 1))
+        np.testing.assert_array_equal(a.itt, [1, 1, 0, 0])
+        np.testing.assert_array_equal(a.ict, [1, 1, 0, 0])
         assert a.medians == {0: float(np.median(model.theta[:, 0])),
                              1: float(np.median(model.theta[:, 1]))}
         assert a.doc_ids == model.doc_ids
@@ -114,7 +116,7 @@ class TestSelection:
 
 def test_binarize_marks_strictly_above_median():
     model = hand_model([[0.1, 0.9], [0.2, 0.8], [0.2, 0.8], [0.3, 0.7], [0.5, 0.5]])
-    np.testing.assert_array_equal(binarize_by_median(model, 0), [0, 0, 0, 1, 1])
-    np.testing.assert_array_equal(binarize_by_median(model, 1), [1, 0, 0, 0, 0])
-    with pytest.raises(TopicError, match="out of range"):
-        binarize_by_median(model, 2)
+    a = assign_topics(model, ["books", "dvd", "dvd", "dvd", "books"], "books")
+    assert (a.t_tc, a.t_cc) == (0, 1)
+    np.testing.assert_array_equal(a.itt, [0, 0, 0, 1, 1])
+    np.testing.assert_array_equal(a.ict, [1, 0, 0, 0, 0])
