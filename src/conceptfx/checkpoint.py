@@ -14,7 +14,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +36,12 @@ def _dtype_tag(dtype: np.dtype) -> str:
 
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray], config: dict | None = None) -> None:
-    """Write named arrays plus a JSON config block to ``path``."""
+    """Write named arrays plus a JSON config block to ``path``.
+
+    The file is written under a temporary name in the same directory and
+    then renamed over ``path``, so a failed save leaves any earlier file at
+    ``path`` intact and no temporary file behind.
+    """
     entries = []
     blob = bytearray()
     for name in sorted(arrays):
@@ -51,10 +58,16 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], config: dict | None = N
                           sort_keys=True, separators=(",", ":")).encode("utf-8")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as f:
-        f.write(struct.pack("<Q", len(manifest)))
-        f.write(manifest)
-        f.write(bytes(blob))
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(struct.pack("<Q", len(manifest)))
+            f.write(manifest)
+            f.write(bytes(blob))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _is_count(x) -> bool:

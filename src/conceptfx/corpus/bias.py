@@ -1,52 +1,9 @@
-"""Score-sorted bias injection and concept-label correlation measurement."""
+"""Concept-label correlation measurement.  The bias it measures is injected
+by ``poms`` (per-label concept draws) and ``reviews.apply_ratio_bias``."""
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Callable
-
-from .types import (BIAS_VERSIONS, CorpusBundle, CorpusError, Example,
-                    UndefinedCorrelationError)
-
-
-def _filter_split(examples: list[Example], score: Callable[[Example], float],
-                  version: str, split_name: str) -> list[Example]:
-    negatives = [e for e in examples if e.label == 0]
-    positives = [e for e in examples if e.label == 1]
-    if not negatives or not positives:
-        raise CorpusError(f"{split_name} split has an empty label stratum; cannot apply bias")
-
-    scores = {e.id: score(e) for e in examples}
-    drop: set[str] = set()
-    by_score_desc = sorted(negatives, key=lambda e: (-scores[e.id], e.id))
-    drop.update(e.id for e in by_score_desc[:len(negatives) // 2])
-    if version == "aggressive":
-        by_score_asc = sorted(positives, key=lambda e: (scores[e.id], e.id))
-        drop.update(e.id for e in by_score_asc[:len(positives) // 2])
-    return [e for e in examples if e.id not in drop]
-
-
-def apply_ratio_bias(bundle: CorpusBundle, score: Callable[[Example], float],
-                     version: str) -> CorpusBundle:
-    """Delete examples by sorted score to correlate the score with the label.
-
-    balanced is the identity.  gentle deletes the top-half-by-score
-    negative-label examples; aggressive additionally deletes the
-    bottom-half-by-score positive-label examples ("half" rounds down).  Each
-    split is filtered independently; pairs whose factual member was deleted
-    are dropped.
-    """
-    if version not in BIAS_VERSIONS:
-        raise CorpusError(f"unknown bias version {version!r}")
-    if version == "balanced":
-        return bundle
-    train = _filter_split(bundle.train, score, version, "train")
-    dev = _filter_split(bundle.dev, score, version, "dev")
-    test = _filter_split(bundle.test, score, version, "test")
-    kept_ids = {e.id for e in (*train, *dev, *test)}
-    pairs = [p for p in bundle.pairs if p.factual.id in kept_ids]
-    return CorpusBundle(train=train, dev=dev, test=test, pairs=pairs,
-                        meta=replace(bundle.meta, bias_version=version))
+from .types import CorpusBundle, CorpusError, UndefinedCorrelationError
 
 
 def measure_correlation(bundle: CorpusBundle, concept: str,

@@ -147,11 +147,11 @@ def read_jsonl(path) -> CorpusBundle:
             raise CorpusError(f"line {line_no}: unknown split {split!r}")
         try:
             ex, pair_id = _parse_example(record, meta)
-            origin = twin_origin(ex.id) if split == "cf" else None
+            factual_id = twin_origin(ex.id)[0] if split == "cf" else None
             if ex.id in id_lines:
                 raise CorpusError(f"example id {ex.id!r} already appears on line {id_lines[ex.id]}")
             id_lines[ex.id] = line_no
-            if origin is None:
+            if factual_id is None:
                 if pair_id not in (None, ex.id):
                     raise CorpusError(f"example {ex.id!r} has pair_id {pair_id!r}, neither null nor its id")
                 splits[split].append(ex)
@@ -159,13 +159,12 @@ def read_jsonl(path) -> CorpusBundle:
                 if pair_id is not None:
                     with_pair_id.add(ex.id)
                 continue
-            factual_id, concept = origin
             if factual_id not in factuals:
                 raise CorpusError(f"counterfactual {ex.id!r} references unknown example {factual_id!r}")
             if pair_id != factual_id or factual_id not in with_pair_id:
                 raise CorpusError(f"counterfactual {ex.id!r} (pair_id {pair_id!r}) and example "
                                   f"{factual_id!r} must both have pair_id {factual_id!r}")
-            pairs.append(ExamplePair(factual=factuals[factual_id], counterfactual=ex, concept=concept))
+            pairs.append(ExamplePair(factual=factuals[factual_id], counterfactual=ex))
             pairs[-1].validate()
         except CorpusError as e:
             raise CorpusError(f"line {line_no}: {e}") from e

@@ -15,12 +15,13 @@ shards can be generated in parallel with disjoint sub-seeds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 
 from .io import load_data
 from .types import (BiasSpec, BundleMeta, CorpusBundle, CorpusError, Example,
-                    TaggedToken, assemble, twin)
+                    TaggedToken, Template, assemble, load_templates, twin)
 
 POMS_LABELS = ("anger", "sadness", "fear", "joy")
 _CONCEPTS = ("gender", "race")
@@ -28,7 +29,11 @@ _MIN_NAMES_PER_CELL = 10
 _AMBIGUOUS_RATE = 0.15  # share of emotion slots given a word shared with another label
 _NOISE_BOOST = 5.0
 
-_PRONOUN_FLIP = {"she": "he", "he": "she", "herself": "himself", "himself": "herself"}
+# Each table is indexed by a concept bit: gender=1 is female, race=1 African-American.
+_GENDERS = ("male", "female")
+_RACES = ("european", "african_american")
+_PRONOUNS = {"<pron>": ("he", "she"), "<refl>": ("himself", "herself")}
+_PRONOUN_FORMS = {form: forms for forms in _PRONOUNS.values() for form in forms}
 
 _FILLER_SLOTS = {
     "<place>": "places",
@@ -39,17 +44,6 @@ _FILLER_SLOTS = {
     "<number>": "numbers",
     "<family>": "family",
 }
-
-
-@dataclass
-class Template:
-    id: int
-    tokens: list[str]
-    weight: float = 1.0
-
-    @property
-    def has_emotion(self) -> bool:
-        return "<emotion>" in self.tokens
 
 
 @dataclass
@@ -64,13 +58,9 @@ class PomsLexicons:
     fillers: dict[str, list[str]] = field(default_factory=dict)
 
     def validate(self):
-        for gender in ("female", "male"):
-            for race in ("european", "african_american"):
-                cell = self.names.get(gender, {}).get(race, [])
-                if len(cell) < _MIN_NAMES_PER_CELL:
-                    raise CorpusError(
-                        f"name cell {gender}/{race} has {len(cell)} entries, "
-                        f"needs >= {_MIN_NAMES_PER_CELL} to avoid name reuse inside pairs")
+        for gender in (1, 0):
+            for race in (0, 1):
+                self.name_cell({"gender": gender, "race": race})
         for label in POMS_LABELS:
             if not self.emotions.get(label):
                 raise CorpusError(f"no emotion words for label {label!r}")
@@ -84,18 +74,24 @@ class PomsLexicons:
     def ambiguous_for(self, label: str) -> list[str]:
         return [e["word"] for e in self.ambiguous if label in e["classes"]]
 
-    def name_cell(self, gender: str, race: str) -> list[str]:
-        return self.names[gender][race]
+    def name_cell(self, concepts: Mapping[str, int]) -> list[str]:
+        """The names of a person with these ``gender`` and ``race`` bits."""
+        gender, race = _GENDERS[concepts["gender"]], _RACES[concepts["race"]]
+        cell = self.names.get(gender, {}).get(race, [])
+        if len(cell) < _MIN_NAMES_PER_CELL:
+            raise CorpusError(
+                f"name cell {gender}/{race} has {len(cell)} entries, "
+                f"needs >= {_MIN_NAMES_PER_CELL} to avoid name reuse inside pairs")
+        return cell
 
 
 def default_templates() -> list[Template]:
-    raw = load_data("templates.json")["templates"]
-    return [Template(id=t["id"], tokens=list(t["tokens"]), weight=float(t["weight"])) for t in raw]
+    return load_templates(load_data("templates.json")["templates"])
 
 
 def default_lexicons() -> PomsLexicons:
     raw = load_data("lexicons.json")
-    fillers = {key: raw[key] for key in ("places", "seasons", "times", "days", "observes", "numbers", "family")}
+    fillers = {key: raw[key] for key in _FILLER_SLOTS.values()}
     return PomsLexicons(
         names=raw["names"],
         emotions=raw["emotions"],
@@ -113,7 +109,7 @@ def _noise_weights(label: str, lexicons: PomsLexicons) -> np.ndarray:
     return w / w.sum()
 
 
-def _fill_template(template: Template, name: str, gender: str, emotion: str | None,
+def _fill_template(template: Template, name: str, gender: int, emotion: str | None,
                    lexicons: PomsLexicons, rng: np.random.Generator) -> list[TaggedToken]:
     out: list[TaggedToken] = []
     for tok in template.tokens:
@@ -123,10 +119,8 @@ def _fill_template(template: Template, name: str, gender: str, emotion: str | No
             if emotion is None:
                 raise CorpusError(f"template {template.id} has an emotion slot but no emotion was drawn")
             out.append(TaggedToken(emotion, "emotion-word"))
-        elif tok == "<pron>":
-            out.append(TaggedToken("she" if gender == "female" else "he", "gender-pronoun"))
-        elif tok == "<refl>":
-            out.append(TaggedToken("herself" if gender == "female" else "himself", "gender-pronoun"))
+        elif tok in _PRONOUNS:
+            out.append(TaggedToken(_PRONOUNS[tok][gender], "gender-pronoun"))
         elif tok == "<ind>":
             article = "an" if emotion and emotion[0] in "aeiou" else "a"
             out.append(TaggedToken(article, "filler"))
@@ -144,22 +138,15 @@ def _build_example(index: int, seed: int, templates: list[Template], template_pr
     label_idx = int(rng.integers(len(POMS_LABELS)))
     label = POMS_LABELS[label_idx]
 
-    concept_value = int(rng.random() < bias.label_probs[label])
-    if bias.concept == "gender":
-        gender = "female" if concept_value else "male"
-        race = "african_american" if rng.random() < 0.5 else "european"
-    elif bias.concept == "race":
-        race = "african_american" if concept_value else "european"
-        gender = "female" if rng.random() < 0.5 else "male"
-    else:
-        raise CorpusError(f"unsupported bias concept {bias.concept!r} for a mood-state corpus")
-
-    cell = lexicons.name_cell(gender, race)
+    other = _CONCEPTS[1 - _CONCEPTS.index(bias.concept)]
+    concepts = {bias.concept: int(rng.random() < bias.label_probs[label]),
+                other: int(rng.random() < 0.5)}
+    cell = lexicons.name_cell(concepts)
     name = cell[rng.integers(len(cell))]
 
     template = templates[rng.choice(len(templates), p=template_probs)]
     emotion = None
-    if template.has_emotion:
+    if "<emotion>" in template.tokens:
         ambiguous = lexicons.ambiguous_for(label)
         if ambiguous and rng.random() < _AMBIGUOUS_RATE:
             emotion = ambiguous[rng.integers(len(ambiguous))]
@@ -167,7 +154,7 @@ def _build_example(index: int, seed: int, templates: list[Template], template_pr
             words = lexicons.emotions[label]
             emotion = words[rng.integers(len(words))]
 
-    core = _fill_template(template, name, gender, emotion, lexicons, rng)
+    core = _fill_template(template, name, concepts["gender"], emotion, lexicons, rng)
     noise_idx = int(rng.choice(len(lexicons.noise_sentences),
                                p=_noise_weights(label, lexicons)))
     noise = [TaggedToken(t, "noise") for t in lexicons.noise_sentences[noise_idx]]
@@ -176,15 +163,7 @@ def _build_example(index: int, seed: int, templates: list[Template], template_pr
     else:
         tokens = (*core, *noise)
 
-    return Example(
-        id=f"poms-{index:06d}",
-        tokens=tokens,
-        label=label_idx,
-        concepts={
-            "gender": 1 if gender == "female" else 0,
-            "race": 1 if race == "african_american" else 0,
-        },
-    )
+    return Example(id=f"poms-{index:06d}", tokens=tokens, label=label_idx, concepts=concepts)
 
 
 def flip_concept(example: Example, concept: str, lexicons: PomsLexicons, seed: int) -> Example:
@@ -198,16 +177,9 @@ def flip_concept(example: Example, concept: str, lexicons: PomsLexicons, seed: i
     """
     if concept not in _CONCEPTS:
         raise CorpusError(f"cannot flip concept {concept!r}")
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 2, 1 if concept == "gender" else 2)))
-    gender = "female" if example.concepts["gender"] else "male"
-    race = "african_american" if example.concepts["race"] else "european"
-    if concept == "gender":
-        gender = "male" if gender == "female" else "female"
-    else:
-        race = "european" if race == "african_american" else "african_american"
-    cell = lexicons.name_cell(gender, race)
-    if not cell:
-        raise CorpusError(f"empty name cell {gender}/{race}")
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 2, _CONCEPTS.index(concept) + 1)))
+    concepts = {**example.concepts, concept: 1 - example.concepts[concept]}
+    cell = lexicons.name_cell(concepts)
     new_name = cell[rng.integers(len(cell))]
 
     tokens = []
@@ -215,12 +187,9 @@ def flip_concept(example: Example, concept: str, lexicons: PomsLexicons, seed: i
         if tok.slot == "person-name":
             tokens.append(TaggedToken(new_name, "person-name"))
         elif tok.slot == "gender-pronoun" and concept == "gender":
-            tokens.append(TaggedToken(_PRONOUN_FLIP[tok.surface], "gender-pronoun"))
+            tokens.append(TaggedToken(_PRONOUN_FORMS[tok.surface][concepts["gender"]], "gender-pronoun"))
         else:
             tokens.append(tok)
-
-    concepts = dict(example.concepts)
-    concepts[concept] = 1 - concepts[concept]
     return twin(example, concept, tuple(tokens), concepts)
 
 
@@ -240,6 +209,8 @@ def generate_poms_corpus(templates: list[Template] | None = None,
     bias = bias if bias is not None else BiasSpec.poms("balanced")
     if not templates:
         raise CorpusError("template list must be non-empty")
+    if bias.concept not in _CONCEPTS:
+        raise CorpusError(f"unsupported bias concept {bias.concept!r} for a mood-state corpus")
     if bias.label_probs is None or set(bias.label_probs) != set(POMS_LABELS):
         raise CorpusError("bias specification must give a concept probability for every label")
     if n < len(POMS_LABELS):
@@ -268,7 +239,7 @@ def generate_poms_corpus(templates: list[Template] | None = None,
     )
     bundle = assemble(examples, meta, twins)
 
-    if n >= 2000 and bias.concept in _CONCEPTS:
+    if n >= 2000:
         from .bias import measure_correlation
         measured = measure_correlation(bundle, bias.concept, target_label="joy")
         expected = bias.expected_correlation("joy")

@@ -4,56 +4,43 @@ Sentences come from a small frame grammar with adjective slots (filled from a
 polarity lexicon matching the sentiment label) and topic slots (filled with a
 domain-planted topic word at the grammar's configured rate, a generic noun
 otherwise).  Each example gets an adjective-deletion counterfactual twin, and
-the adjective-to-non-adjective ratio drives the score-sorted bias policy.
+the adjective-to-non-adjective ratio drives the score-sorted bias policy
+of ``apply_ratio_bias``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bias import apply_ratio_bias
 from .io import load_data
-from .types import (BiasSpec, BundleMeta, CorpusBundle, CorpusError, Example,
-                    TaggedToken, assemble, twin)
+from .types import (BIAS_VERSIONS, BiasSpec, BundleMeta, CorpusBundle, CorpusError,
+                    Example, TaggedToken, Template, assemble, load_templates, twin)
 
 REVIEW_LABELS = ("negative", "positive")
-
-
-@dataclass
-class Frame:
-    id: int
-    tokens: list[str]
-    weight: float = 1.0
-
-    def adjective_slots(self) -> int:
-        return self.tokens.count("<adj>")
-
-    def validate(self):
-        non_adj = [t for t in self.tokens if t != "<adj>"]
-        if not non_adj:
-            raise CorpusError(f"frame {self.id} has zero non-adjective tokens; "
-                              "its counterfactual would be empty")
+DEFAULT_DOMAINS = ("books", "dvd", "electronics", "kitchen", "movies")
 
 
 @dataclass
 class ReviewGrammar:
-    frames: list[Frame]
+    frames: list[Template]
     adjectives: dict[str, list[str]]
     topic_words: dict[str, list[str]]
     generic_nouns: list[str]
     topic_word_rate: float = 0.85
 
-    def validate(self, domains: list[str]):
+    def validate(self):
         if not self.frames:
             raise CorpusError("grammar needs at least one frame")
         for frame in self.frames:
-            frame.validate()
+            if all(t == "<adj>" for t in frame.tokens):
+                raise CorpusError(f"frame {frame.id} has zero non-adjective tokens; "
+                                  "its counterfactual would be empty")
         for polarity in ("positive", "negative"):
             if not self.adjectives.get(polarity):
                 raise CorpusError(f"no {polarity} adjectives in grammar")
-        planted = [d for d in domains if self.topic_words.get(d)]
+        planted = [d for d in DEFAULT_DOMAINS if self.topic_words.get(d)]
         if len(planted) < 2:
             raise CorpusError("grammar must plant topic words for at least 2 domains")
         if not 0.0 <= self.topic_word_rate <= 1.0:
@@ -63,15 +50,12 @@ class ReviewGrammar:
 def default_grammar() -> ReviewGrammar:
     raw = load_data("review_grammar.json")
     return ReviewGrammar(
-        frames=[Frame(id=f["id"], tokens=list(f["tokens"]), weight=float(f["weight"])) for f in raw["frames"]],
+        frames=load_templates(raw["frames"]),
         adjectives=raw["adjectives"],
         topic_words=raw["topic_words"],
         generic_nouns=raw["generic_nouns"],
         topic_word_rate=float(raw["topic_word_rate"]),
     )
-
-
-DEFAULT_DOMAINS = ("books", "dvd", "electronics", "kitchen", "movies")
 
 
 def _token_ratio(tokens: tuple[TaggedToken, ...], example_id: str) -> float:
@@ -98,17 +82,55 @@ def delete_adjectives(example: Example) -> Example:
     return twin(example, "adjectives", kept, concepts)
 
 
-def _build_review(index: int, seed: int, grammar: ReviewGrammar, domains: list[str],
+def _filter_split(examples: list[Example], version: str, split_name: str) -> list[Example]:
+    negatives = [e for e in examples if e.label == 0]
+    positives = [e for e in examples if e.label == 1]
+    if not negatives or not positives:
+        raise CorpusError(f"{split_name} split has an empty label stratum; cannot apply bias")
+
+    scores = {e.id: adjective_ratio(e) for e in examples}
+    drop: set[str] = set()
+    by_score_desc = sorted(negatives, key=lambda e: (-scores[e.id], e.id))
+    drop.update(e.id for e in by_score_desc[:len(negatives) // 2])
+    if version == "aggressive":
+        by_score_asc = sorted(positives, key=lambda e: (scores[e.id], e.id))
+        drop.update(e.id for e in by_score_asc[:len(positives) // 2])
+    return [e for e in examples if e.id not in drop]
+
+
+def apply_ratio_bias(bundle: CorpusBundle, version: str) -> CorpusBundle:
+    """Delete examples sorted by ``adjective_ratio`` to correlate it with the label.
+
+    balanced is the identity.  gentle deletes the top-half-by-ratio
+    negative-label examples; aggressive additionally deletes the
+    bottom-half-by-ratio positive-label examples ("half" rounds down).  Each
+    split is filtered independently; pairs whose factual member was deleted
+    are dropped.
+    """
+    if version not in BIAS_VERSIONS:
+        raise CorpusError(f"unknown bias version {version!r}")
+    if version == "balanced":
+        return bundle
+    train = _filter_split(bundle.train, version, "train")
+    dev = _filter_split(bundle.dev, version, "dev")
+    test = _filter_split(bundle.test, version, "test")
+    kept_ids = {e.id for e in (*train, *dev, *test)}
+    pairs = [p for p in bundle.pairs if p.factual.id in kept_ids]
+    return CorpusBundle(train=train, dev=dev, test=test, pairs=pairs,
+                        meta=replace(bundle.meta, bias_version=version))
+
+
+def _build_review(index: int, seed: int, grammar: ReviewGrammar,
                   frame_probs: np.ndarray) -> tuple[str, int, tuple[TaggedToken, ...]]:
     """(domain, label, tokens) of review ``index``."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 11, index)))
-    domain = domains[rng.integers(len(domains))]
+    domain = DEFAULT_DOMAINS[rng.integers(len(DEFAULT_DOMAINS))]
     label = int(rng.integers(2))
     frame = grammar.frames[rng.choice(len(grammar.frames), p=frame_probs)]
 
     polarity = REVIEW_LABELS[label]
     pool = list(grammar.adjectives[polarity])
-    n_adj = frame.adjective_slots()
+    n_adj = frame.tokens.count("<adj>")
     if n_adj > len(pool):
         raise CorpusError(f"frame {frame.id} needs {n_adj} adjectives, lexicon has {len(pool)}")
     adj_choice = list(rng.choice(len(pool), size=n_adj, replace=False)) if n_adj else []
@@ -132,7 +154,6 @@ def _build_review(index: int, seed: int, grammar: ReviewGrammar, domains: list[s
 
 
 def generate_review_corpus(grammar: ReviewGrammar | None = None,
-                           domains: list[str] | None = None,
                            bias: BiasSpec | None = None,
                            n: int = 5000,
                            seed: int = 212) -> CorpusBundle:
@@ -144,17 +165,16 @@ def generate_review_corpus(grammar: ReviewGrammar | None = None,
     each split independently.
     """
     grammar = grammar if grammar is not None else default_grammar()
-    domains = list(domains) if domains is not None else list(DEFAULT_DOMAINS)
     bias = bias if bias is not None else BiasSpec.reviews("balanced")
     if bias.concept != "adjectives":
         raise CorpusError(f"review corpora take an adjectives bias, got one for {bias.concept!r}")
-    grammar.validate(domains)
+    grammar.validate()
     if n < 2:
         raise CorpusError(f"cannot build a review corpus with n={n}")
 
     weights = np.array([f.weight for f in grammar.frames], dtype=float)
     frame_probs = weights / weights.sum()
-    drafts = [_build_review(i, seed, grammar, domains, frame_probs) for i in range(n)]
+    drafts = [_build_review(i, seed, grammar, frame_probs) for i in range(n)]
     ids = [f"rev-{i:06d}" for i in range(n)]
     ratios = np.array([_token_ratio(tokens, ex_id) for ex_id, (_, _, tokens) in zip(ids, drafts)])
     median = float(np.median(ratios))
@@ -169,9 +189,9 @@ def generate_review_corpus(grammar: ReviewGrammar | None = None,
         bias_version=bias.version,
         concepts=["adjectives"],
         label_names=list(REVIEW_LABELS),
-        domains=domains,
+        domains=list(DEFAULT_DOMAINS),
         lexicon_info={"frames": len(grammar.frames), "topic_word_rate": grammar.topic_word_rate,
                       "ratio_median": median},
     )
     bundle = assemble(examples, meta, lambda index, ex: [delete_adjectives(ex)])
-    return apply_ratio_bias(bundle, adjective_ratio, bias.version)
+    return apply_ratio_bias(bundle, bias.version)

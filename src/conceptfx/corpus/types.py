@@ -1,4 +1,4 @@
-"""Core corpus data types: tagged tokens, examples, counterfactual pairs.
+"""Core corpus data types: templates, tagged tokens, examples, counterfactual pairs.
 
 Bundles are generated as pure functions of (config, seed) and are treated as
 immutable once built; they are safe to share across threads, and shards with
@@ -50,6 +50,21 @@ class TaggedToken:
             raise CorpusError(f"unknown slot kind {self.slot!r}")
 
 
+@dataclass
+class Template:
+    """A weighted POMS template or review frame; ``<slot>`` tokens are filled
+    by the generator, every other token is copied as filler."""
+
+    id: int
+    tokens: list[str]
+    weight: float = 1.0
+
+
+def load_templates(records: list[dict]) -> list[Template]:
+    """Templates from their ``{id, tokens, weight}`` JSON records."""
+    return [Template(id=r["id"], tokens=list(r["tokens"]), weight=float(r["weight"])) for r in records]
+
+
 @dataclass(frozen=True)
 class Example:
     """A tagged token sequence with task label and binary concept values.
@@ -86,12 +101,15 @@ class ExamplePair:
 
     factual: Example
     counterfactual: Example
-    concept: str
+
+    @property
+    def concept(self) -> str:
+        """The concept the twin intervenes on, read off its id."""
+        return twin_origin(self.counterfactual.id)[1]
 
     def validate(self):
-        if twin_origin(self.counterfactual.id) != (self.factual.id, self.concept):
-            raise CorpusError(f"pair for {self.factual.id}: {self.counterfactual.id!r} is not "
-                              f"its {self.concept!r} twin")
+        if twin_origin(self.counterfactual.id)[0] != self.factual.id:
+            raise CorpusError(f"pair for {self.factual.id}: {self.counterfactual.id!r} is not its twin")
         if self.factual.label != self.counterfactual.label:
             raise CorpusError(f"pair for {self.factual.id}: labels differ")
 
@@ -229,7 +247,7 @@ def assemble(examples: list[Example], meta: BundleMeta,
     the ``twin``-built examples that ``twins(index, example)`` gives for it."""
     sizes = split_sizes(len(examples))
     n_fit = sizes[0] + sizes[1]
-    pairs = [ExamplePair(factual=ex, counterfactual=cf, concept=twin_origin(cf.id)[1])
+    pairs = [ExamplePair(factual=ex, counterfactual=cf)
              for index, ex in enumerate(examples[n_fit:], start=n_fit) for cf in twins(index, ex)]
     bundle = CorpusBundle(train=examples[:sizes[0]], dev=examples[sizes[0]:n_fit],
                           test=examples[n_fit:], pairs=pairs, meta=meta)

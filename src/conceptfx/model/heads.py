@@ -38,6 +38,9 @@ class HeadSet:
                 adversarial: bool = False, grl_lambda: float = 1.0):
         if name in self.heads:
             raise HeadError(f"duplicate head {name!r}")
+        if in_dim < 1 or classes < 1:
+            raise HeadError(f"head {name!r} needs in_dim >= 1 and classes >= 1, "
+                            f"got {in_dim} and {classes}")
         rng = np.random.default_rng(np.random.SeedSequence((seed, 202, len(self.heads))))
         self.params[f"head.{name}.w"] = ad.Tensor(
             rng.normal(0.0, 0.02, size=(in_dim, classes)), requires_grad=True, dtype=dtype)

@@ -16,7 +16,8 @@ _EPS, _BETA1, _BETA2 = 1e-8, 0.9, 0.999
 
 
 class OptimError(Exception):
-    """Raised when a step cannot be applied (e.g. non-finite gradients)."""
+    """Raised for a bad learning rate, or when a step cannot be applied
+    (a non-finite gradient or one shaped unlike its parameter)."""
 
 
 class Adam:
@@ -27,6 +28,8 @@ class Adam:
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
+        if not (np.isfinite(lr) and lr > 0):
+            raise OptimError(f"learning rate must be finite and > 0, got {lr!r}")
         self.params = params
         self.lr = lr
         self.m: dict[str, np.ndarray] = {}
@@ -36,11 +39,15 @@ class Adam:
     def step(self):
         """Update every parameter that has a gradient, in place.
 
-        A non-finite gradient aborts the whole step (no parameter is touched)
-        with a diagnostic naming the offending parameter.
+        A non-finite gradient, or one shaped unlike its parameter, aborts the
+        whole step (``t`` and every parameter are untouched) with a diagnostic
+        naming the offending parameter.
         """
         live = [(name, p) for name, p in self.params.items() if p.grad is not None]
         for name, p in live:
+            if p.grad.shape != p.data.shape:
+                raise OptimError(f"gradient shape {p.grad.shape} for parameter {name!r} "
+                                 f"does not match its shape {p.data.shape}; step aborted")
             if not np.all(np.isfinite(p.grad)):
                 raise OptimError(f"non-finite gradient for parameter {name!r}; step aborted")
         self.t += 1

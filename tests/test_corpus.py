@@ -9,13 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conceptfx.corpus import (BiasSpec, BundleMeta, CorpusBundle, CorpusError,
-                              Example, TaggedToken, UndefinedCorrelationError,
-                              adjective_ratio, apply_ratio_bias,
-                              default_lexicons, delete_adjectives,
-                              flip_concept, generate_poms_corpus,
-                              generate_review_corpus, measure_correlation,
-                              read_jsonl, write_jsonl)
-from conceptfx.corpus.poms import Template
+                              Example, TaggedToken, Template,
+                              UndefinedCorrelationError, adjective_ratio,
+                              apply_ratio_bias, default_lexicons,
+                              delete_adjectives, flip_concept,
+                              generate_poms_corpus, generate_review_corpus,
+                              measure_correlation, read_jsonl, write_jsonl)
 from conceptfx.corpus.types import split_sizes, twin_origin
 
 
@@ -87,8 +86,10 @@ class TestPomsGeneration:
         for pair in females:
             cf = pair.counterfactual
             assert cf.concepts["gender"] == 0 and cf.concepts["race"] == 0
-            assert cf.tokens[0].surface != pair.factual.tokens[0].surface or True
             name_tokens = [t for t in cf.tokens if t.slot == "person-name"]
+            factual_names = [t for t in pair.factual.tokens if t.slot == "person-name"]
+            assert len(name_tokens) == len(factual_names) == 1
+            assert name_tokens[0].surface != factual_names[0].surface
             assert all(t.surface in lex.names["male"]["european"] for t in name_tokens)
             for ft, ct in zip(pair.factual.tokens, cf.tokens):
                 if ft.slot not in ("person-name", "gender-pronoun"):
@@ -118,14 +119,20 @@ class TestPomsGeneration:
         with pytest.raises(CorpusError):
             generate_poms_corpus(templates=[], n=100, seed=1)
 
+    def test_unknown_bias_concept_rejected(self):
+        with pytest.raises(CorpusError, match="'topic'"):
+            generate_poms_corpus(bias=BiasSpec.poms("gentle", concept="topic"))
+
+    @pytest.mark.parametrize("concept", ["gender", "race"])
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10_000))
-    def test_gender_flip_involution(self, seed):
+    def test_flip_involution(self, concept, seed):
         lex = default_lexicons()
         bundle = generate_poms_corpus(n=10, seed=seed % 100)
         ex = bundle.train[seed % len(bundle.train)]
-        once = flip_concept(ex, "gender", lex, seed=seed)
-        twice = flip_concept(once, "gender", lex, seed=seed + 1)
+        once = flip_concept(ex, concept, lex, seed=seed)
+        twice = flip_concept(once, concept, lex, seed=seed + 1)
+        assert once.concepts[concept] == 1 - ex.concepts[concept]
         assert twice.concepts == ex.concepts
         gender = "female" if ex.concepts["gender"] else "male"
         race = "african_american" if ex.concepts["race"] else "european"
@@ -199,9 +206,9 @@ class TestReviewGeneration:
         assert generate_review_corpus(n=200, seed=3) == generate_review_corpus(n=200, seed=3)
 
     def test_empty_frame_rejected(self):
-        from conceptfx.corpus.reviews import Frame, ReviewGrammar, default_grammar
+        from conceptfx.corpus.reviews import default_grammar
         g = default_grammar()
-        g.frames.append(Frame(id=99, tokens=["<adj>", "<adj>"]))
+        g.frames.append(Template(id=99, tokens=["<adj>", "<adj>"]))
         with pytest.raises(CorpusError, match="zero non-adjective"):
             generate_review_corpus(grammar=g, n=100, seed=1)
 
@@ -213,7 +220,8 @@ class TestRatioBias:
             tokens = tuple(TaggedToken("w", "adjective") if j < int(round(score * 10)) else TaggedToken("x", "filler")
                            for j in range(length))
             return Example(id=f"e{i}", tokens=tokens, label=label, concepts={"c": 0})
-        # encode desired score directly via a side table
+        # round(10 * score) adjectives and one or two fillers, so adjective_ratio
+        # sorts the examples as their scores do; the side table reads the score back
         examples = []
         table = {}
         i = 0
@@ -228,19 +236,19 @@ class TestRatioBias:
         return bundle, (lambda ex: table[ex.id])
 
     def test_balanced_is_identity(self):
-        bundle, score = self._toy_bundle([0.4, 0.3], [0.2, 0.1])
-        assert apply_ratio_bias(bundle, score, "balanced") is bundle
+        bundle, _ = self._toy_bundle([0.4, 0.3], [0.2, 0.1])
+        assert apply_ratio_bias(bundle, "balanced") is bundle
 
     def test_gentle_deletes_top_half_negatives(self):
         bundle, score = self._toy_bundle([0.4, 0.3, 0.2, 0.1], [0.5, 0.6])
-        out = apply_ratio_bias(bundle, score, "gentle")
+        out = apply_ratio_bias(bundle, "gentle")
         neg_scores = sorted(score(e) for e in out.train if e.label == 0)
         assert neg_scores == [0.1, 0.2]
         assert sorted(score(e) for e in out.train if e.label == 1) == [0.5, 0.6]
 
     def test_aggressive_also_deletes_bottom_half_positives(self):
         bundle, score = self._toy_bundle([0.4, 0.3, 0.2, 0.1], [0.5, 0.6, 0.7, 0.8])
-        out = apply_ratio_bias(bundle, score, "aggressive")
+        out = apply_ratio_bias(bundle, "aggressive")
         assert sorted(score(e) for e in out.train if e.label == 0) == [0.1, 0.2]
         assert sorted(score(e) for e in out.train if e.label == 1) == [0.7, 0.8]
 
@@ -250,13 +258,13 @@ class TestRatioBias:
             med = np.median([adjective_ratio(e) for e in b.all_examples()])
             pts = [(1 if adjective_ratio(e) > med else 0, e.label) for e in b.all_examples()]
             return phi_coefficient(pts)
-        biased = apply_ratio_bias(bundle, adjective_ratio, "gentle")
+        biased = apply_ratio_bias(bundle, "gentle")
         assert r_of(biased) > r_of(bundle)
 
     def test_empty_stratum_rejected(self):
-        bundle, score = self._toy_bundle([0.4], [])
+        bundle, _ = self._toy_bundle([0.4], [])
         with pytest.raises(CorpusError, match="stratum"):
-            apply_ratio_bias(bundle, score, "gentle")
+            apply_ratio_bias(bundle, "gentle")
 
 
 def with_gender(bundle, gender):

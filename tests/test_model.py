@@ -297,6 +297,14 @@ class TestHeads:
         np.testing.assert_array_equal(w_rev, w_plain)
         np.testing.assert_allclose(g_rev, -lam * g_plain, rtol=1e-12)
 
+    @pytest.mark.parametrize("in_dim, classes", [(6, 0), (0, 2), (-1, 2)])
+    def test_empty_head_rejected(self, in_dim, classes):
+        from conceptfx.model.heads import HeadError
+        heads = HeadSet()
+        with pytest.raises(HeadError, match="'h'"):
+            heads.add_seq("h", in_dim=in_dim, classes=classes, seed=0)
+        assert heads.heads == {} and heads.params == {}
+
     def test_class_mismatch_rejected(self):
         from conceptfx.model.heads import HeadError
         heads = HeadSet()

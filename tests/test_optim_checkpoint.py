@@ -1,5 +1,7 @@
 """Adam update semantics and checkpoint round-trips."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,24 @@ class TestAdam:
         np.testing.assert_array_equal(w.data, np.ones(2))
         assert (opt.t, opt.m, opt.v) == (0, {}, {})
 
+    @pytest.mark.parametrize("grad_shape", [(1,), (4,)])
+    def test_misshapen_gradient_aborts(self, grad_shape):
+        a = Tensor(np.ones(3), requires_grad=True)
+        w = Tensor(np.ones(3), requires_grad=True)
+        opt = Adam({"a": a, "w": w})
+        a.grad = np.ones(3)
+        w.grad = np.ones(grad_shape)
+        with pytest.raises(OptimError, match=r"'w'.*\(3,\)"):
+            opt.step()
+        np.testing.assert_array_equal(a.data, np.ones(3))
+        np.testing.assert_array_equal(w.data, np.ones(3))
+        assert (opt.t, opt.m, opt.v) == (0, {}, {})
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1e-3])
+    def test_bad_learning_rate_rejected(self, lr):
+        with pytest.raises(OptimError, match="learning rate"):
+            Adam({"x": Tensor(np.zeros(2), requires_grad=True)}, lr=lr)
+
     def test_wrapper_reads_tensor_grads(self):
         p = Tensor(np.zeros(3), requires_grad=True)
         opt = Adam({"p": p}, lr=0.1)
@@ -97,6 +117,21 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "1.bin", arrays, {"k": 1})
         save_checkpoint(tmp_path / "2.bin", arrays, {"k": 1})
         assert (tmp_path / "1.bin").read_bytes() == (tmp_path / "2.bin").read_bytes()
+
+    def test_failed_save_keeps_the_earlier_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "ck.bin"
+        a = {"w": np.arange(3.0, dtype=np.float32)}
+        save_checkpoint(path, a, {"which": "a"})
+
+        def fail(src, dst):
+            raise OSError("disk full")
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, {"w": np.ones(5, dtype=np.float32)}, {"which": "b"})
+        arrays, config = load_checkpoint(path)
+        assert config == {"which": "a"}
+        assert checkpoint_hash(arrays) == checkpoint_hash(a)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.bin"]
 
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
