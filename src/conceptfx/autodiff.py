@@ -15,15 +15,23 @@ node exactly once and accumulates gradients additively on fan-out.  A tape is
 single-threaded; distinct tapes may run in parallel.  Every op checks its
 output for NaN/Inf and raises ``NonFiniteError`` on detection.
 
-Kernels allocate only their output, the arrays their backward keeps, and at
-most two scratch arrays, updating those in place.  They never write into an
-operand's ``.data`` or into the upstream gradient ``g``: an output may be a
-view of an operand (``reshape``, ``transpose``, ``grad_reverse``), and a
-backward may pass ``g`` itself on to several inputs (``add``), whose
-gradients ``Tape.backward`` then accumulates.
+Kernels allocate their output and, only when a tape records the op, the
+arrays their backward reads; ``_recording`` is the one test of that, shared
+with ``_make``.  ``matmul`` adds its optional bias into its product in place.
+``layer_norm``, ``softmax`` and ``gelu``, and the backward of ``gelu``, run
+over blocks of about ``_BLOCK`` elements (whole rows for the row-wise ops)
+through block-sized scratch reused from block to block, so an untaped call
+peaks near its output's size.  Each element sees the same operations in the
+same order as in whole-array code, so the bits do not depend on the blocking.
+Kernels never write into an operand's ``.data`` or into the upstream gradient
+``g``: an output may be a view of an operand (``reshape``, ``transpose``,
+``grad_reverse``), and a backward may pass ``g`` itself on to several inputs
+(``add``), whose gradients ``Tape.backward`` then accumulates.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -144,8 +152,9 @@ class Tape:
             tensor.grad = grads.get(key)
 
 
-def _active_tape():
-    return _ACTIVE_TAPES[-1] if _ACTIVE_TAPES else None
+def _recording(*inputs: Tensor) -> bool:
+    """Whether an op on ``inputs`` is taped: a tape is active and an input needs a gradient."""
+    return bool(_ACTIVE_TAPES) and any(t.requires_grad for t in inputs)
 
 
 def _check_finite(data, op):
@@ -155,11 +164,10 @@ def _check_finite(data, op):
 
 def _make(op, out_data, inputs, backward_fn) -> Tensor:
     _check_finite(out_data, op)
-    tape = _active_tape()
-    requires = tape is not None and any(t.requires_grad for t in inputs)
+    requires = _recording(*inputs)
     out = Tensor(out_data, requires_grad=requires)
     if requires:
-        tape._record(out, inputs, backward_fn, op)
+        _ACTIVE_TAPES[-1]._record(out, inputs, backward_fn, op)
     return out
 
 
@@ -185,19 +193,29 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 # Primitives
 # ---------------------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     """Matrix product of 2-D or batched operands; ``b`` may be 2-D under a batched ``a``.
 
     Batch axes do not broadcast: ``b`` is 2-D or has the leading dims of ``a``.
+    A ``bias`` (1-D, one entry per column of a 2-D ``b``) is added to every
+    output row in place, with the bits of ``add(matmul(a, b), bias)``.
     """
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
     if b.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(f"matmul batch dims differ: {a.shape} @ {b.shape}")
+    if bias is not None and (b.ndim != 2 or bias.shape != b.shape[-1:]):
+        raise ShapeError(f"matmul bias must be [{b.shape[-1]}] under a 2-D b, got {bias.shape} under {b.shape}")
     out = a.data @ b.data
+    if bias is not None:
+        if np.result_type(out, bias.data) != out.dtype:
+            raise ShapeError(f"matmul bias dtype {bias.dtype} is wider than the product's {out.dtype}")
+        out += bias.data
 
     def backward(g):
-        ga = gb = None
+        ga = gb = gbias = None
+        if bias is not None and bias.requires_grad:
+            gbias = _unbroadcast(g, bias.shape)
         if a.requires_grad:
             ga = g @ np.swapaxes(b.data, -1, -2)
         if b.requires_grad:
@@ -207,9 +225,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 gb = a.data.reshape(-1, k).T @ g.reshape(-1, n)
             else:
                 gb = np.swapaxes(a.data, -1, -2) @ g
-        return ga, gb
+        return ga, gb, gbias
 
-    return _make("matmul", out, (a, b), backward)
+    return _make("matmul", out, (a, b) if bias is None else (a, b, bias), backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -271,6 +289,21 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 
 LAYER_NORM_EPS = 1e-5
 
+# Elements per block of the blocked kernels (layer_norm, softmax, gelu): a float32
+# block is 256 KB, so the few blocks a kernel touches at once stay in a core's L2
+# cache, and a call on an encoder activation makes few enough ufunc calls.
+_BLOCK = 65536
+
+
+def _blocks(n: int, step: int):
+    """``(start, stop)`` of each run of ``step`` items in ``range(n)``; the last may be short."""
+    return ((start, min(start + step, n)) for start in range(0, n, step))
+
+
+def _as_rows(a: np.ndarray) -> np.ndarray:
+    """``a`` as a 2-D array of its last-axis rows (a view when ``a`` is contiguous)."""
+    return a.reshape(math.prod(a.shape[:-1]), a.shape[-1])
+
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
@@ -278,16 +311,32 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError("layer_norm gain/bias must match the last axis")
     if gain.dtype != x.dtype or bias.dtype != x.dtype:
         raise ShapeError(f"layer_norm operands differ in dtype: {x.dtype}, {gain.dtype}, {bias.dtype}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xhat = x.data - mu
-    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
-    xhat *= inv
-    out = xhat * gain.data
-    out += bias.data
+    n = x.shape[-1]
+    rows = _as_rows(x.data)
+    out = np.empty(x.shape, x.dtype)
+    out_rows = _as_rows(out)
+    step = max(1, _BLOCK // max(n, 1))
+    # The backward reads xhat and inv whole, so a taped call keeps them; untaped,
+    # xhat lives in block scratch.  Each output block holds xhat * xhat until the
+    # affine map overwrites it.
+    taped = _recording(x, gain, bias)
+    xhat_rows = np.empty((len(rows) if taped else min(step, len(rows)), n), x.dtype)
+    inv = np.empty((len(rows), 1), x.dtype) if taped else None
+    for start, stop in _blocks(len(rows), step):
+        xb, ob = rows[start:stop], out_rows[start:stop]
+        hb = xhat_rows[start:stop] if taped else xhat_rows[:stop - start]
+        np.subtract(xb, xb.mean(axis=-1, keepdims=True), out=hb)
+        ib = 1.0 / np.sqrt(np.multiply(hb, hb, out=ob).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
+        hb *= ib
+        np.multiply(hb, gain.data, out=ob)
+        ob += bias.data
+        if taped:
+            inv[start:stop] = ib
 
     def backward(g):
         gx = ggain = gbias = None
         lead = tuple(range(g.ndim - 1))
+        xhat = xhat_rows.reshape(g.shape)
         if gain.requires_grad:
             ggain = (g * xhat).sum(axis=lead)
         if bias.requires_grad:
@@ -301,7 +350,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
             np.multiply(xhat, m2, out=prod)
             gx -= m1
             gx -= prod
-            gx *= inv
+            gx *= inv.reshape(m2.shape)
         return gx, ggain, gbias
 
     return _make("layer_norm", out, (x, gain, bias), backward)
@@ -309,9 +358,14 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 def softmax(x: Tensor) -> Tensor:
     """Softmax over the last axis."""
-    s = x.data - x.data.max(axis=-1, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
+    rows = _as_rows(x.data)
+    s = np.empty(x.shape, x.dtype)
+    s_rows = _as_rows(s)
+    for start, stop in _blocks(len(rows), max(1, _BLOCK // max(x.shape[-1], 1))):
+        xb = rows[start:stop]
+        sb = np.subtract(xb, xb.max(axis=-1, keepdims=True), out=s_rows[start:stop])
+        np.exp(sb, out=sb)
+        sb /= sb.sum(axis=-1, keepdims=True)
 
     def backward(g):
         gx = g * s
@@ -331,30 +385,49 @@ def gelu(x: Tensor) -> Tensor:
     # t = tanh(C * (x + 0.044715 * x * x * x)) and out = 0.5 * x * (1 + t).  The cube
     # is two multiplies: numpy's float32 pow takes ~90x as long.
     xd = x.data
-    t = xd * xd
-    t *= xd
-    t *= 0.044715
-    t += xd
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    out = xd * 0.5
-    out *= t + 1.0
+    flat = xd.reshape(-1)
+    out = np.empty(x.shape, x.dtype)
+    out_flat = out.reshape(-1)
+    scratch = np.empty(min(_BLOCK, flat.size), x.dtype)
+    # The backward reads t whole, so a taped call keeps it, and 1 + t goes to block
+    # scratch; untaped, t itself lives in the scratch and 1 + t overwrites it.
+    t_flat = np.empty(flat.size, x.dtype) if _recording(x) else None
+    for start, stop in _blocks(flat.size, _BLOCK):
+        xb = flat[start:stop]
+        tb = t_flat[start:stop] if t_flat is not None else scratch[:stop - start]
+        np.multiply(xb, xb, out=tb)
+        tb *= xb
+        tb *= 0.044715
+        tb += xb
+        tb *= _GELU_C
+        np.tanh(tb, out=tb)
+        ob = np.multiply(xb, 0.5, out=out_flat[start:stop])
+        ob *= np.add(tb, 1.0, out=scratch[:stop - start])
 
     def backward(g):
-        # 0.5 * (1 + t) + 0.5 * x * (1 - t * t) * du with du = C * (1 + 3 * 0.044715 * x * x)
-        a = t * t
-        np.subtract(1.0, a, out=a)
-        b = xd * 0.5
-        b *= a
-        np.multiply(xd, xd, out=a)
-        a *= 3 * 0.044715
-        a += 1.0
-        a *= _GELU_C
-        b *= a
-        np.add(t, 1.0, out=a)
-        a *= 0.5
-        a += b
-        return (g * a,)
+        # 0.5 * (1 + t) + 0.5 * x * (1 - t * t) * du with du = C * (1 + 3 * 0.044715 * x * x),
+        # built in two block scratch arrays
+        g_flat = g.reshape(-1)
+        gx = np.empty(g.shape, np.result_type(g, xd))
+        gx_flat = gx.reshape(-1)
+        a, b = np.empty((2, min(_BLOCK, flat.size)), x.dtype)
+        for start, stop in _blocks(flat.size, _BLOCK):
+            xb, tb = flat[start:stop], t_flat[start:stop]
+            ab, bb = a[:stop - start], b[:stop - start]
+            np.multiply(tb, tb, out=ab)
+            np.subtract(1.0, ab, out=ab)
+            np.multiply(xb, 0.5, out=bb)
+            bb *= ab
+            np.multiply(xb, xb, out=ab)
+            ab *= 3 * 0.044715
+            ab += 1.0
+            ab *= _GELU_C
+            bb *= ab
+            np.add(tb, 1.0, out=ab)
+            ab *= 0.5
+            ab += bb
+            np.multiply(g_flat[start:stop], ab, out=gx_flat[start:stop])
+        return (gx,)
 
     return _make("gelu", out, (x,), backward)
 

@@ -70,13 +70,19 @@ class PomsLexicons:
             links = self.label_noise_links.get(label, [])
             if len(links) != 3:
                 raise CorpusError(f"label {label!r} must link to exactly 3 noise sentences")
+        for key in _FILLER_SLOTS.values():
+            if not self.fillers.get(key):
+                raise CorpusError(f"no filler words for {key!r}")
 
     def ambiguous_for(self, label: str) -> list[str]:
         return [e["word"] for e in self.ambiguous if label in e["classes"]]
 
     def name_cell(self, concepts: Mapping[str, int]) -> list[str]:
         """The names of a person with these ``gender`` and ``race`` bits."""
-        gender, race = _GENDERS[concepts["gender"]], _RACES[concepts["race"]]
+        bits = {concept: concepts[concept] for concept in _CONCEPTS}
+        if any(bit not in (0, 1) for bit in bits.values()):
+            raise CorpusError(f"person concepts must be 0 or 1, got {bits}")
+        gender, race = _GENDERS[int(bits["gender"])], _RACES[int(bits["race"])]
         cell = self.names.get(gender, {}).get(race, [])
         if len(cell) < _MIN_NAMES_PER_CELL:
             raise CorpusError(

@@ -45,6 +45,13 @@ class ReviewGrammar:
             raise CorpusError("grammar must plant topic words for at least 2 domains")
         if not 0.0 <= self.topic_word_rate <= 1.0:
             raise CorpusError(f"topic word rate out of range: {self.topic_word_rate}")
+        # A <topic> slot takes a generic noun at rate 1 - topic_word_rate, and always
+        # in a domain without topic words.
+        falls_back = self.topic_word_rate < 1.0 or len(planted) < len(DEFAULT_DOMAINS)
+        if (not self.generic_nouns and falls_back
+                and any("<topic>" in frame.tokens for frame in self.frames)):
+            raise CorpusError("grammar has no generic nouns for the <topic> slots that fall back "
+                              "to one (topic_word_rate < 1 or a domain without topic words)")
 
 
 def default_grammar() -> ReviewGrammar:

@@ -59,4 +59,4 @@ class HeadSet:
         grl_lambda = self.heads[name]
         if grl_lambda is not None:
             inputs = ad.grad_reverse(inputs, grl_lambda)
-        return ad.add(ad.matmul(inputs, w), self.params[f"head.{name}.b"])
+        return ad.matmul(inputs, w, self.params[f"head.{name}.b"])

@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,6 +91,33 @@ class TestPrimitiveValues:
         with pytest.raises(ad.ShapeError):
             ad.matmul(ad.Tensor(np.ones(a_shape)), ad.Tensor(np.ones(b_shape)))
 
+    @pytest.mark.parametrize("b_shape, bias_shape", [((4, 5), (4,)), ((4, 5), (1, 5)), ((2, 4, 5), (5,))],
+                             ids=["wrong-length", "2d-bias", "batched-b"])
+    def test_matmul_rejects_a_misshapen_bias(self, b_shape, bias_shape):
+        with pytest.raises(ad.ShapeError):
+            ad.matmul(ad.Tensor(np.ones((2, 3, 4))), ad.Tensor(np.ones(b_shape)), ad.Tensor(np.ones(bias_shape)))
+
+    def test_matmul_rejects_a_wider_bias(self):
+        # The in-place add would cast a float64 bias's sum back to a float32 product.
+        x, w = ad.Tensor(np.ones((2, 4)), dtype=np.float32), ad.Tensor(np.ones((4, 3)), dtype=np.float32)
+        with pytest.raises(ad.ShapeError):
+            ad.matmul(x, w, ad.Tensor(np.zeros(3)))
+
+    def test_matmul_bias_has_the_bits_of_add(self):
+        rng = np.random.default_rng(3)
+        a, b, bias = (ad.Tensor(rng.standard_normal(s), requires_grad=True, dtype=np.float32)
+                      for s in [(4, 6, 64), (64, 48), (48,)])
+        g = rng.standard_normal((4, 6, 48)).astype(np.float32)
+
+        def grads(build):
+            with ad.Tape() as tape:
+                out = build()
+                loss = ad.sum_axis(ad.reshape(ad.mul(out, ad.Tensor(g)), (g.size,)), 0)
+            tape.backward(loss)
+            return [out.data.tobytes(), *(t.grad.tobytes() for t in (a, b, bias))]
+
+        assert grads(lambda: ad.matmul(a, b, bias)) == grads(lambda: ad.add(ad.matmul(a, b), bias))
+
     def test_layer_norm_rejects_mixed_dtypes(self):
         # The in-place bias add would cast a float64 bias's sum back to float32.
         x, gain = ad.Tensor(np.ones((2, 4)), dtype=np.float32), ad.Tensor(np.ones(4), dtype=np.float32)
@@ -146,6 +174,11 @@ class TestPrimitiveGradients:
         a, b = _param(self.rng, (2, 3, 4)), _param(self.rng, (2, 4, 2))
         check_grad(lambda: ad.sum_axis(ad.reshape(ad.mul(ad.matmul(a, b), ad.matmul(a, b)), (12,)), 0),
                    {"a": a, "b": b})
+
+    def test_matmul_bias(self):
+        a, b, bias = _param(self.rng, (2, 3, 4)), _param(self.rng, (4, 5)), _param(self.rng, (5,))
+        check_grad(lambda: ad.sum_axis(ad.reshape(ad.gelu(ad.matmul(a, b, bias)), (30,)), 0),
+                   {"a": a, "b": b, "bias": bias})
 
     def test_add_broadcast_bias(self):
         x, b = _param(self.rng, (3, 2, 4)), _param(self.rng, (4,))
@@ -261,6 +294,66 @@ class TestKernelBits:
         assert out.data.tobytes() == want_out.tobytes()
         assert grad.tobytes() == want_grad.tobytes()
 
+    # Shapes that span at least four blocks plus a ragged tail (elements for gelu, rows
+    # for layer_norm and softmax), and "<op>/<dtype>": digests of the output, then of
+    # each returned gradient, pinned at the unblocked kernels.
+    BLOCKED_SHAPES = {"gelu": (5, 97, 601), "layer_norm": (13, 149, 150), "softmax": (9, 4, 83, 101)}
+    BLOCKED_PINS = {
+        "gelu/float32": ["0021f0611ce70d4a", "c3ce8638b5215c04"],
+        "gelu/float64": ["5bab6f13f16ab4bf", "5bd0df4ca34ca8ea"],
+        "layer_norm/float32": ["8451dff904b20514", "aaa1b5dcf39482d8", "c2590bb29f325377", "3dd87c71033c61dd"],
+        "layer_norm/float64": ["10bf858914d822ad", "706ff999de5779b2", "20d046ae65971d6d", "d9d53e9eabdb59ad"],
+        "softmax/float32": ["ce3b3e5ccc7136e1", "7cb668eab070aacf"],
+        "softmax/float64": ["a05f2d3777b0a4df", "58535a76399d4e66"],
+    }
+
+    def _blocked_call(self, op, dtype):
+        """``(op, operands, upstream gradient)`` at the op's multi-block shape."""
+        shape = self.BLOCKED_SHAPES[op]
+        rng, x, g = self._inputs(shape, dtype)
+        if op == "gelu":
+            x.data *= 3
+            return ad.gelu, (x,), g
+        if op == "softmax":
+            return ad.softmax, (x,), g
+        gain = ad.Tensor(1.0 + 0.1 * rng.standard_normal(shape[-1]), requires_grad=True, dtype=dtype)
+        bias = ad.Tensor(0.1 * rng.standard_normal(shape[-1]), requires_grad=True, dtype=dtype)
+        return ad.layer_norm, (x, gain, bias), g
+
+    @pytest.mark.parametrize("op", sorted(BLOCKED_SHAPES))
+    def test_pinned_shapes_span_blocks_and_a_tail(self, op):
+        shape = self.BLOCKED_SHAPES[op]
+        units, per_block = ((np.prod(shape), ad._BLOCK) if op == "gelu"
+                            else (np.prod(shape[:-1]), ad._BLOCK // shape[-1]))
+        assert units >= 4 * per_block and units % per_block
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("op", sorted(BLOCKED_SHAPES))
+    def test_multi_block_pins(self, op, dtype):
+        out, grads = _forward_and_grads(*self._blocked_call(op, dtype))
+        assert [_digest(a) for a in (out.data, *grads)] == self.BLOCKED_PINS[f"{op}/{dtype}"]
+
+    @pytest.mark.parametrize("op", sorted(BLOCKED_SHAPES))
+    def test_untaped_output_matches_taped(self, op):
+        fn, operands, _ = self._blocked_call(op, "float32")
+        untaped = fn(*operands)
+        with ad.Tape() as tape:
+            taped = fn(*operands)
+        assert len(tape) == 1 and not untaped.requires_grad
+        assert untaped.data.tobytes() == taped.data.tobytes()
+
+    def test_untaped_encoder_matches_taped(self):
+        from conceptfx.model import EncoderConfig, encoder_forward, init_encoder_params
+        config = EncoderConfig(vocab_size=40)
+        params = init_encoder_params(config, seed=3)
+        # 40 rows put every gelu, softmax and layer_norm call across more than one block.
+        ids = np.random.default_rng(3).integers(0, 40, size=(40, config.max_len))
+        untaped = encoder_forward(ids, params, config, mode="eval")
+        with ad.Tape() as tape:
+            taped = encoder_forward(ids, params, config, mode="eval")
+        assert len(tape) > 0
+        assert [t.data.tobytes() for t in untaped] == [t.data.tobytes() for t in taped]
+
     def test_gelu_costs_a_few_tanh(self):
         # A float32 ``pow`` in the cube made gelu ~165x one np.tanh; x*x*x makes it ~6x.
         x = ad.Tensor(np.random.default_rng(0).standard_normal((32, 32, 256)), dtype=np.float32)
@@ -275,6 +368,48 @@ class TestKernelBits:
 
         ratio = best_of_5(lambda: ad.gelu(x)) / best_of_5(lambda: np.tanh(x.data))
         assert ratio < 25, f"gelu forward costs {ratio:.0f}x one np.tanh"
+
+
+class TestAllocation:
+    """Untaped kernels allocate little beyond their output; taped ones keep their backward arrays."""
+
+    SHAPE = (64, 32, 256)
+
+    @staticmethod
+    def _traced(call):
+        """Run ``call``; return its output and the peak and retained bytes, each over the output's."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = call()
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return out, (peak - base) / out.data.nbytes, (current - base) / out.data.nbytes
+
+    def _call(self, op):
+        rng = np.random.default_rng(6)
+        x = ad.Tensor(rng.standard_normal(self.SHAPE), requires_grad=True, dtype=np.float32)
+        if op == "gelu":
+            return lambda: ad.gelu(x)
+        gain, bias = (ad.Tensor(np.ones(self.SHAPE[-1]), requires_grad=True, dtype=np.float32)
+                      for _ in range(2))
+        return lambda: ad.layer_norm(x, gain, bias)
+
+    @pytest.mark.parametrize("op", ["gelu", "layer_norm"])
+    def test_untaped_peak_is_near_the_output(self, op):
+        # Whole-array temporaries made these 3.00x (gelu) and 2.26x (layer_norm).
+        _, peak, _ = self._traced(self._call(op))
+        assert peak < 1.5, f"untaped {op} peaked at {peak:.2f}x its output"
+
+    @pytest.mark.parametrize("op", ["gelu", "layer_norm"])
+    def test_taped_call_keeps_its_backward_arrays(self, op):
+        # gelu keeps t, layer_norm keeps xhat (and inv): each as large as the output.
+        call = self._call(op)
+        with ad.Tape() as tape:
+            out, _, kept = self._traced(call)
+        assert len(tape) == 1 and out.requires_grad
+        assert kept >= 2.0, f"taped {op} keeps {kept:.2f}x its output"
 
 
 # One call per op: the op and the shapes of its float64 operands.
@@ -300,6 +435,12 @@ _EVERY_OP = {
 }
 
 
+# Further calls of an op whose options take another path.
+_OP_VARIANTS = {
+    "matmul-bias": (ad.matmul, [(2, 3, 4), (4, 5), (5,)]),
+}
+
+
 class TestNoAliasing:
     """No op writes into an operand's ``.data`` or into its upstream gradient."""
 
@@ -307,9 +448,9 @@ class TestNoAliasing:
         made = set(re.findall(r'_make\(\s*"(\w+)"', inspect.getsource(ad)))
         assert made == set(_EVERY_OP)
 
-    @pytest.mark.parametrize("name", sorted(_EVERY_OP))
+    @pytest.mark.parametrize("name", sorted({**_EVERY_OP, **_OP_VARIANTS}))
     def test_operands_and_upstream_gradient_unchanged(self, name):
-        op, shapes = _EVERY_OP[name]
+        op, shapes = {**_EVERY_OP, **_OP_VARIANTS}[name]
         rng = np.random.default_rng(4)
         operands = [_param(rng, shape) for shape in shapes]
         before = [t.data.tobytes() for t in operands]

@@ -111,6 +111,29 @@ class TestPomsGeneration:
         with pytest.raises(CorpusError, match="female/european"):
             generate_poms_corpus(lexicons=lex, n=100, seed=1)
 
+    @pytest.mark.parametrize("key, how", [("places", "all"), ("days", "missing"), ("family", "empty")])
+    def test_missing_filler_rejected(self, key, how):
+        # fillers={} leaked KeyError: 'days' from the template filler.
+        lex = default_lexicons()
+        if how == "all":
+            lex.fillers = {}
+        elif how == "missing":
+            del lex.fillers[key]
+        else:
+            lex.fillers[key] = []
+        with pytest.raises(CorpusError, match=f"'{key}'"):
+            generate_poms_corpus(lexicons=lex, n=50, seed=1)
+
+    @pytest.mark.parametrize("concepts", [{"gender": -1, "race": 0}, {"gender": 2, "race": 1},
+                                          {"gender": 0, "race": -1}, {"gender": 1, "race": 2}])
+    @pytest.mark.parametrize("concept", ["gender", "race"])
+    def test_flip_rejects_non_binary_concepts(self, concepts, concept):
+        # gender=-1 drew a female name and kept -1; gender=2 leaked IndexError.
+        ex = Example(id="poms-000000", label=0, concepts=concepts,
+                     tokens=(TaggedToken("amanda", "person-name"), TaggedToken("smiles", "filler")))
+        with pytest.raises(CorpusError, match="0 or 1"):
+            flip_concept(ex, concept, default_lexicons(), seed=0)
+
     def test_infeasible_n_rejected(self):
         with pytest.raises(CorpusError, match="infeasible"):
             generate_poms_corpus(n=2, seed=1)
@@ -211,6 +234,22 @@ class TestReviewGeneration:
         g.frames.append(Template(id=99, tokens=["<adj>", "<adj>"]))
         with pytest.raises(CorpusError, match="zero non-adjective"):
             generate_review_corpus(grammar=g, n=100, seed=1)
+
+
+    @pytest.mark.parametrize("rate, bare_domain", [(0.85, None), (1.0, "kitchen"), (0.0, "books")])
+    def test_empty_generic_nouns_rejected(self, rate, bare_domain):
+        # A <topic> slot that fell back to no noun leaked numpy's "high <= 0".
+        from conceptfx.corpus.reviews import default_grammar
+        g = replace(default_grammar(), generic_nouns=[], topic_word_rate=rate)
+        if bare_domain:
+            g.topic_words = {**g.topic_words, bare_domain: []}
+        with pytest.raises(CorpusError, match="generic nouns"):
+            generate_review_corpus(grammar=g, n=50, seed=1)
+
+    def test_generic_nouns_unused_at_full_topic_rate(self):
+        from conceptfx.corpus.reviews import default_grammar
+        g = replace(default_grammar(), generic_nouns=[], topic_word_rate=1.0)
+        assert len(generate_review_corpus(grammar=g, n=50, seed=1).all_examples()) >= 50
 
 
 class TestRatioBias:
