@@ -1,12 +1,11 @@
-"""conceptfx: causal concept-effect estimation for text classifiers.
+"""conceptfx: building blocks for CausaLM-style concept-effect estimation.
 
-The package trains a small masked-language-model encoder in three stages
-(pretraining, adversarial counterfactual fine-tuning, frozen-encoder task
-training), then compares classifiers built on the original and counterfactual
-representations to estimate how much a human-interpretable concept (gender,
-race, adjectives, a topic) moves the classifier's output distribution.
-Synthetic corpora with exact counterfactual twins provide ground truth for
-validating the estimates.
+The package has synthetic corpora with exact counterfactual twins (POMS
+mood-state and product reviews, under a concept-label bias ladder), a
+vocabulary and MLM/IMA masking plans, a small masked-language-model encoder
+with sequence heads (one may sit behind gradient reversal), a numpy-only
+reverse-mode autodiff, Adam, checkpoints and LDA topics.  It does not yet
+train the encoders in stages or estimate a concept's effect.
 """
 
 __version__ = "0.1.0"

@@ -11,26 +11,30 @@ pass multiplies the upstream gradient by a negative scalar.  Ops take
 
 A ``Tape`` records primitive applications in execution order; reversed
 execution order is a valid topological order, so ``Tape.backward`` visits each
-node exactly once and accumulates gradients additively on fan-out.  A tape is
-single-threaded; distinct tapes may run in parallel.  Every op checks its
-output for NaN/Inf and raises ``NonFiniteError`` on detection.
+node exactly once and accumulates gradients additively on fan-out.  It raises
+``AutodiffError`` for a loss it did not record.  A tape is single-threaded;
+distinct tapes may run in parallel.  Every op checks its output for NaN/Inf and
+raises ``NonFiniteError`` on detection.
 
-Kernels allocate their output and, only when a tape records the op, the
-arrays their backward reads; ``_recording`` is the one test of that, shared
-with ``_make``.  ``matmul`` adds its optional bias into its product in place.
-``layer_norm``, ``softmax`` and ``gelu``, and the backward of ``gelu``, run
-over blocks of about ``_BLOCK`` elements (whole rows for the row-wise ops)
-through block-sized scratch reused from block to block, so an untaped call
-peaks near its output's size.  Each element sees the same operations in the
-same order as in whole-array code, so the bits do not depend on the blocking.
-Kernels never write into an operand's ``.data`` or into the upstream gradient
-``g``: an output may be a view of an operand (``reshape``, ``transpose``,
+Kernels allocate their output and, only when a tape records the op, what their
+backward multiplies by; ``_recording`` is the one test of that, shared with
+``_make``.  A taped ``gelu`` keeps its derivative, built in its forward loop, so
+its backward is one multiply; ``layer_norm`` keeps ``xhat`` only under a tape,
+and its per-row ``inv`` on both paths.  ``matmul`` adds its optional bias into
+its product in place.  ``layer_norm``, ``softmax`` and ``gelu`` run over blocks
+of about ``_BLOCK`` elements (whole rows for the row-wise ops) through
+block-sized scratch reused from block to block, so an untaped call peaks near
+its output's size.  Each element sees the same operations in the same order as
+in whole-array code, so the bits do not depend on the blocking.  Kernels never
+write into an operand's ``.data`` or into the upstream gradient ``g``: an
+output may be a view of an operand (``reshape``, ``transpose``,
 ``grad_reverse``), and a backward may pass ``g`` itself on to several inputs
 (``add``), whose gradients ``Tape.backward`` then accumulates.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 
 import numpy as np
@@ -85,14 +89,7 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad}, name={self.name!r})"
 
 
-class _Node:
-    __slots__ = ("out", "inputs", "backward_fn", "op")
-
-    def __init__(self, out, inputs, backward_fn, op):
-        self.out = out
-        self.inputs = inputs
-        self.backward_fn = backward_fn
-        self.op = op
+_Node = collections.namedtuple("_Node", "out inputs backward_fn op")
 
 
 _ACTIVE_TAPES: list["Tape"] = []
@@ -127,29 +124,27 @@ class Tape:
         """Backpropagate from a scalar loss, depositing ``.grad`` on leaves.
 
         Each recorded node is visited exactly once, in reverse execution
-        order; fan-out gradients accumulate additively.  Leaf gradients are
-        assigned (previous ``.grad`` contents are replaced).
+        order; fan-out gradients accumulate additively.  Every consumer of a
+        node's output was recorded after it, so its gradient is complete when
+        the node is reached and is popped there; what remains belongs to
+        leaves, whose ``.grad`` is assigned (previous contents are replaced).
+        A loss this tape did not record raises ``AutodiffError``.
         """
         if loss.data.size != 1:
             raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
-        produced = {id(node.out) for node in self._nodes}
-        grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        leaves: dict[int, Tensor] = {}
+        pending: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
         for node in reversed(self._nodes):
-            g = grads.pop(id(node.out), None)
+            g = pending.pop(node.out, None)
             if g is None:
                 continue
-            input_grads = node.backward_fn(g)
-            for inp, gi in zip(node.inputs, input_grads):
-                if gi is None or not inp.requires_grad:
-                    continue
-                key = id(inp)
-                acc = grads.get(key)
-                grads[key] = gi if acc is None else acc + gi
-                if key not in produced:
-                    leaves[key] = inp
-        for key, tensor in leaves.items():
-            tensor.grad = grads.get(key)
+            for inp, gi in zip(node.inputs, node.backward_fn(g)):
+                if gi is not None and inp.requires_grad:
+                    acc = pending.get(inp)
+                    pending[inp] = gi if acc is None else acc + gi
+        if loss in pending:
+            raise AutodiffError("backward from a loss this tape did not record")
+        for tensor, g in pending.items():
+            tensor.grad = g
 
 
 def _recording(*inputs: Tensor) -> bool:
@@ -219,10 +214,8 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         if a.requires_grad:
             ga = g @ np.swapaxes(b.data, -1, -2)
         if b.requires_grad:
-            if b.ndim == 2 and a.ndim > 2:
-                k = a.data.shape[-1]
-                n = g.shape[-1]
-                gb = a.data.reshape(-1, k).T @ g.reshape(-1, n)
+            if b.ndim == 2:
+                gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
             else:
                 gb = np.swapaxes(a.data, -1, -2) @ g
         return ga, gb, gbias
@@ -316,22 +309,20 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     out = np.empty(x.shape, x.dtype)
     out_rows = _as_rows(out)
     step = max(1, _BLOCK // max(n, 1))
-    # The backward reads xhat and inv whole, so a taped call keeps them; untaped,
-    # xhat lives in block scratch.  Each output block holds xhat * xhat until the
-    # affine map overwrites it.
+    # The backward reads xhat whole, so a taped call keeps it; untaped, xhat lives in
+    # block scratch.  Each output block holds xhat * xhat until the affine map
+    # overwrites it.
     taped = _recording(x, gain, bias)
     xhat_rows = np.empty((len(rows) if taped else min(step, len(rows)), n), x.dtype)
-    inv = np.empty((len(rows), 1), x.dtype) if taped else None
+    inv = np.empty((len(rows), 1), x.dtype)
     for start, stop in _blocks(len(rows), step):
-        xb, ob = rows[start:stop], out_rows[start:stop]
+        xb, ob, ib = rows[start:stop], out_rows[start:stop], inv[start:stop]
         hb = xhat_rows[start:stop] if taped else xhat_rows[:stop - start]
         np.subtract(xb, xb.mean(axis=-1, keepdims=True), out=hb)
-        ib = 1.0 / np.sqrt(np.multiply(hb, hb, out=ob).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
+        np.divide(1.0, np.sqrt(np.multiply(hb, hb, out=ob).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS), out=ib)
         hb *= ib
         np.multiply(hb, gain.data, out=ob)
         ob += bias.data
-        if taped:
-            inv[start:stop] = ib
 
     def backward(g):
         gx = ggain = gbias = None
@@ -383,51 +374,42 @@ _GELU_C = float(np.sqrt(2.0 / np.pi))
 def gelu(x: Tensor) -> Tensor:
     """GELU with the tanh approximation (fixed, for cross-build determinism)."""
     # t = tanh(C * (x + 0.044715 * x * x * x)) and out = 0.5 * x * (1 + t).  The cube
-    # is two multiplies: numpy's float32 pow takes ~90x as long.
-    xd = x.data
-    flat = xd.reshape(-1)
+    # is two multiplies: numpy's float32 pow takes ~90x as long.  A taped call keeps the
+    # derivative d = 0.5 * (1 + t) + 0.5 * x * (1 - t * t) * du, du = C * (1 + 3 * 0.044715 * x * x),
+    # in the backward's order of operations; the output block holds 0.5 * x and du
+    # until the output overwrites them, and 1 + t overwrites t in the block scratch.
+    flat = x.data.reshape(-1)
     out = np.empty(x.shape, x.dtype)
     out_flat = out.reshape(-1)
     scratch = np.empty(min(_BLOCK, flat.size), x.dtype)
-    # The backward reads t whole, so a taped call keeps it, and 1 + t goes to block
-    # scratch; untaped, t itself lives in the scratch and 1 + t overwrites it.
-    t_flat = np.empty(flat.size, x.dtype) if _recording(x) else None
+    d_flat = np.empty(flat.size, x.dtype) if _recording(x) else None
     for start, stop in _blocks(flat.size, _BLOCK):
-        xb = flat[start:stop]
-        tb = t_flat[start:stop] if t_flat is not None else scratch[:stop - start]
+        xb, ob, tb = flat[start:stop], out_flat[start:stop], scratch[:stop - start]
         np.multiply(xb, xb, out=tb)
         tb *= xb
         tb *= 0.044715
         tb += xb
         tb *= _GELU_C
         np.tanh(tb, out=tb)
-        ob = np.multiply(xb, 0.5, out=out_flat[start:stop])
-        ob *= np.add(tb, 1.0, out=scratch[:stop - start])
+        if d_flat is not None:
+            db = d_flat[start:stop]
+            np.multiply(tb, tb, out=db)
+            np.subtract(1.0, db, out=db)
+            db *= np.multiply(xb, 0.5, out=ob)
+            np.multiply(xb, xb, out=ob)
+            ob *= 3 * 0.044715
+            ob += 1.0
+            ob *= _GELU_C
+            db *= ob
+        tb += 1.0
+        np.multiply(xb, 0.5, out=ob)
+        ob *= tb
+        if d_flat is not None:
+            tb *= 0.5
+            db += tb
 
     def backward(g):
-        # 0.5 * (1 + t) + 0.5 * x * (1 - t * t) * du with du = C * (1 + 3 * 0.044715 * x * x),
-        # built in two block scratch arrays
-        g_flat = g.reshape(-1)
-        gx = np.empty(g.shape, np.result_type(g, xd))
-        gx_flat = gx.reshape(-1)
-        a, b = np.empty((2, min(_BLOCK, flat.size)), x.dtype)
-        for start, stop in _blocks(flat.size, _BLOCK):
-            xb, tb = flat[start:stop], t_flat[start:stop]
-            ab, bb = a[:stop - start], b[:stop - start]
-            np.multiply(tb, tb, out=ab)
-            np.subtract(1.0, ab, out=ab)
-            np.multiply(xb, 0.5, out=bb)
-            bb *= ab
-            np.multiply(xb, xb, out=ab)
-            ab *= 3 * 0.044715
-            ab += 1.0
-            ab *= _GELU_C
-            bb *= ab
-            np.add(tb, 1.0, out=ab)
-            ab *= 0.5
-            ab += bb
-            np.multiply(g_flat[start:stop], ab, out=gx_flat[start:stop])
-        return (gx,)
+        return (g * d_flat.reshape(g.shape),)
 
     return _make("gelu", out, (x,), backward)
 
@@ -450,6 +432,8 @@ class DropoutRng:
 
     def __init__(self, seed: int):
         self.seed = int(seed)
+        if not 0 <= self.seed < 2 ** 128:
+            raise AutodiffError(f"dropout seed must be in [0, 2**128) for Philox, got {self.seed}")
         self.calls = 0
 
     def keep_mask(self, shape, keep_prob: float) -> np.ndarray:
@@ -511,9 +495,9 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
 
 def grad_reverse(x: Tensor, lam: float) -> Tensor:
     """Identity forward; backward passes ``-lam * g`` to the input."""
-    if lam < 0:
-        raise AutodiffError(f"grad_reverse lambda must be >= 0, got {lam}")
     lam = float(lam)
+    if not 0.0 <= lam < math.inf:
+        raise AutodiffError(f"grad_reverse lambda must be finite and >= 0, got {lam}")
     out = x.data
 
     def backward(g):
@@ -523,7 +507,10 @@ def grad_reverse(x: Tensor, lam: float) -> Tensor:
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    out = x.data.reshape(shape)
+    try:
+        out = x.data.reshape(shape)
+    except ValueError as e:
+        raise ShapeError(f"reshape of {x.shape}: {e}") from e
     old = x.shape
 
     def backward(g):

@@ -37,6 +37,11 @@ class EncoderConfig:
     dropout: float = 0.1
 
     def __post_init__(self):
+        for name in ("heads", "dim", "ffn_dim", "max_len"):
+            if getattr(self, name) < 1:
+                raise EncoderError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.layers < 0:
+            raise EncoderError(f"layers must be >= 0, got {self.layers}")
         if self.dim % self.heads != 0:
             raise EncoderError(f"dim {self.dim} not divisible by heads {self.heads}")
         if self.vocab_size < 5:
@@ -90,8 +95,9 @@ def encoder_forward(ids: np.ndarray, params: dict[str, ad.Tensor], config: Encod
 
     ``mode`` is ``"train"`` (dropout at ``config.dropout``, which needs a
     ``dropout_rng`` when positive) or ``"eval"`` (no dropout, deterministic).
-    A failing op (a non-finite activation, an id outside the vocabulary)
-    raises ``EncoderError`` carrying the failing layer index.
+    A failing op (a non-finite activation, an id outside the vocabulary, a
+    parameter shaped for another config) or a parameter missing from
+    ``params`` raises ``EncoderError`` carrying the failing layer index.
     """
     if mode not in ("train", "eval"):
         raise EncoderError(f"unknown mode {mode!r}")
@@ -102,14 +108,12 @@ def encoder_forward(ids: np.ndarray, params: dict[str, ad.Tensor], config: Encod
     if ids.ndim != 2 or not 0 < ids.shape[1] <= config.max_len:
         raise EncoderError(f"ids must be [B, 0 < L <= {config.max_len}], got {ids.shape}")
     B, L = ids.shape
-    dtype = params["emb.tok"].dtype
-
-    pad_bias = np.where(ids == PAD_ID, ATTN_MASK_BIAS, 0.0).astype(dtype)
-    attn_bias = ad.Tensor(pad_bias[:, None, None, :])
     scale = 1.0 / np.sqrt(config.head_dim)
 
     layer = -1  # the embeddings; block i is layer i and the pooler is config.layers
     try:
+        pad_bias = np.where(ids == PAD_ID, ATTN_MASK_BIAS, 0.0).astype(params["emb.tok"].dtype)
+        attn_bias = ad.Tensor(pad_bias[:, None, None, :])
         x = ad.embedding(params["emb.tok"], ids)
         x = ad.add(x, ad.embedding(params["emb.pos"], np.arange(L)))
         x = ad.layer_norm(x, params["emb.ln_g"], params["emb.ln_b"])
@@ -140,6 +144,8 @@ def encoder_forward(ids: np.ndarray, params: dict[str, ad.Tensor], config: Encod
         pooled = ad.tanh(ad.matmul(cls_state, params["pooler.w"], params["pooler.b"]))
     except ad.AutodiffError as e:
         raise EncoderError(str(e), layer=layer) from e
+    except KeyError as e:
+        raise EncoderError(f"params have no {e.args[0]!r}", layer=layer) from e
     return x, pooled
 
 

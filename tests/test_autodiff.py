@@ -83,6 +83,11 @@ class TestPrimitiveValues:
         with pytest.raises(ad.ShapeError):
             ad.matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 3))))
 
+    def test_reshape_size_mismatch_is_a_shape_error(self):
+        # numpy's ValueError used to escape, which encoder_forward does not map.
+        with pytest.raises(ad.ShapeError, match=r"reshape of \(2, 6\)"):
+            ad.reshape(ad.Tensor(np.ones((2, 6))), (5, 2))
+
     @pytest.mark.parametrize("a_shape, b_shape", [((2, 3), (3,)), ((2, 2, 3), (3,)), ((3,), (3, 2)),
                                                   ((3, 4), (2, 4, 5)), ((2, 3, 4), (1, 4, 5))])
     def test_matmul_rejects_a_1d_operand(self, a_shape, b_shape):
@@ -153,6 +158,12 @@ class TestPrimitiveValues:
         np.testing.assert_array_equal(a.data, b.data)
         c = ad.dropout(x, 0.5, r1)
         assert not np.array_equal(a.data, c.data)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 128], ids=["negative", "2**128"])
+    def test_dropout_rng_rejects_a_seed_philox_cannot_key(self, seed):
+        # Philox raised its own ValueError only at the first mask, deep in a forward pass.
+        with pytest.raises(ad.AutodiffError, match="dropout seed"):
+            ad.DropoutRng(seed)
 
 
 class TestPrimitiveGradients:
@@ -404,12 +415,21 @@ class TestAllocation:
 
     @pytest.mark.parametrize("op", ["gelu", "layer_norm"])
     def test_taped_call_keeps_its_backward_arrays(self, op):
-        # gelu keeps t, layer_norm keeps xhat (and inv): each as large as the output.
+        # gelu keeps its derivative, layer_norm keeps xhat (and inv): each as large as the output.
         call = self._call(op)
         with ad.Tape() as tape:
             out, _, kept = self._traced(call)
         assert len(tape) == 1 and out.requires_grad
         assert kept >= 2.0, f"taped {op} keeps {kept:.2f}x its output"
+
+    def test_taped_gelu_backward_peaks_at_its_gradient(self):
+        # Rebuilding the derivative from a kept t took two block scratch arrays: 1.25x.
+        with ad.Tape() as tape:
+            self._call("gelu")()
+        g = np.ones(self.SHAPE, np.float32)
+        backward_fn = tape._nodes[-1].backward_fn
+        _, peak, _ = self._traced(lambda: ad.Tensor(backward_fn(g)[0]))
+        assert peak <= 1.1, f"taped gelu backward peaked at {peak:.2f}x its gradient"
 
 
 # One call per op: the op and the shapes of its float64 operands.
@@ -541,9 +561,11 @@ class TestGradReverse:
         np.testing.assert_array_equal(gw_rev, gw_plain)
         np.testing.assert_allclose(gx_rev, -3.0 * gx_plain, rtol=1e-12)
 
-    def test_negative_lambda_rejected(self):
+    # ``lam < 0`` is false for NaN, so a sign check alone let NaN through.
+    @pytest.mark.parametrize("lam", [-0.5, float("nan"), float("inf")])
+    def test_negative_lambda_rejected(self, lam):
         with pytest.raises(ad.AutodiffError):
-            ad.grad_reverse(ad.Tensor(np.ones(2)), -0.5)
+            ad.grad_reverse(ad.Tensor(np.ones(2)), lam)
 
 
 class TestTape:
@@ -587,3 +609,19 @@ class TestTape:
             y = ad.mul(x, x)
         with pytest.raises(ad.ShapeError):
             tape.backward(y)
+
+    @pytest.mark.parametrize("where", ["after-the-block", "another-tape"])
+    def test_backward_rejects_a_loss_it_did_not_record(self, where):
+        # Such a backward used to return quietly with every .grad left None, so an
+        # optimizer step after it moved no parameter.
+        w = ad.Tensor(np.ones(3), requires_grad=True)
+        with ad.Tape() as tape:
+            ad.mul(w, w)
+        if where == "another-tape":
+            with ad.Tape():
+                loss = ad.sum_axis(ad.mul(w, w), 0)
+        else:
+            loss = ad.sum_axis(ad.mul(w, w), 0)
+        with pytest.raises(ad.AutodiffError, match="did not record"):
+            tape.backward(loss)
+        assert w.grad is None

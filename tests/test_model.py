@@ -1,5 +1,7 @@
 """Vocabulary, masking plans, encoder forward, and head behavior."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -227,6 +229,41 @@ class TestEncoder:
         from conceptfx.model.encoder import EncoderError
         with pytest.raises(EncoderError):
             EncoderConfig(vocab_size=10, dim=10, heads=3)
+
+    @pytest.mark.parametrize("field, value", [
+        ("heads", 0), ("dim", 0), ("ffn_dim", 0), ("max_len", 0), ("layers", -1),
+    ])
+    def test_empty_sizes_rejected(self, field, value):
+        # heads=0 raised ZeroDivisionError; the others built a config.
+        from conceptfx.model.encoder import EncoderError
+        with pytest.raises(EncoderError, match=f"^{field} must be"):
+            EncoderConfig(vocab_size=10, **{field: value})
+
+    @pytest.mark.parametrize("change, name, layer", [
+        ("extra-layer", "layer2.attn.wq", 2), ("dropped", "layer1.ffn.w2", 1),
+    ])
+    def test_missing_parameter_names_itself_and_its_layer(self, change, name, layer):
+        # The lookup used to leak a bare KeyError.
+        from conceptfx.model.encoder import EncoderError
+        vocab, config, params = self._setup()
+        if change == "dropped":
+            del params[name]
+        else:
+            config = dataclasses.replace(config, layers=3)
+        ids, _ = encode_batch([_adjective_example(1, 3)], vocab, config.max_len)
+        with pytest.raises(EncoderError, match=f"^layer {layer}: .*'{name}'") as info:
+            encoder_forward(ids, params, config, mode="eval")
+        assert info.value.layer == layer
+
+    def test_parameters_of_another_width_name_the_layer(self):
+        # A config narrower than its parameters leaked numpy's reshape ValueError.
+        from conceptfx.model.encoder import EncoderError
+        vocab, config, params = self._setup()
+        config = dataclasses.replace(config, dim=4)
+        ids, _ = encode_batch([_adjective_example(1, 3)], vocab, config.max_len)
+        with pytest.raises(EncoderError, match="^layer 0: reshape") as info:
+            encoder_forward(ids, params, config, mode="eval")
+        assert info.value.layer == 0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("name, layer", [
