@@ -347,14 +347,37 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return _make("layer_norm", out, (x, gain, bias), backward)
 
 
+def _row_max(rows: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``rows.max(axis=-1, keepdims=True)`` of a 2-D array, by halving.
+
+    numpy's max reduction over short rows (the 32-wide attention rows) is slower
+    than repeated ``np.maximum`` of two column halves; a max is exact, so the
+    order does not change the result.  An odd width folds its middle column into
+    column 0.  Each halving writes a contiguous array carved from the flat
+    ``scratch``, which holds at least ``len(rows) * (width - 1)`` elements.
+    """
+    n = len(rows)
+    src, width, used = rows, rows.shape[-1], 0
+    while width > 1:
+        half = width // 2
+        m = scratch[used:used + n * half].reshape(n, half)
+        np.maximum(src[:, :half], src[:, width - half:width], out=m)
+        if width % 2:
+            np.maximum(m[:, :1], src[:, half:half + 1], out=m[:, :1])
+        src, width, used = m, half, used + n * half
+    return src
+
+
 def softmax(x: Tensor) -> Tensor:
     """Softmax over the last axis."""
     rows = _as_rows(x.data)
     s = np.empty(x.shape, x.dtype)
     s_rows = _as_rows(s)
-    for start, stop in _blocks(len(rows), max(1, _BLOCK // max(x.shape[-1], 1))):
+    step = max(1, _BLOCK // max(x.shape[-1], 1))
+    scratch = np.empty(min(step, len(rows)) * max(x.shape[-1] - 1, 0), x.dtype)
+    for start, stop in _blocks(len(rows), step):
         xb = rows[start:stop]
-        sb = np.subtract(xb, xb.max(axis=-1, keepdims=True), out=s_rows[start:stop])
+        sb = np.subtract(xb, _row_max(xb, scratch), out=s_rows[start:stop])
         np.exp(sb, out=sb)
         sb /= sb.sum(axis=-1, keepdims=True)
 

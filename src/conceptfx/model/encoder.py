@@ -37,6 +37,10 @@ class EncoderConfig:
     dropout: float = 0.1
 
     def __post_init__(self):
+        for name in ("vocab_size", "layers", "heads", "dim", "ffn_dim", "max_len"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise EncoderError(f"{name} must be an int, got {value!r}")
         for name in ("heads", "dim", "ffn_dim", "max_len"):
             if getattr(self, name) < 1:
                 raise EncoderError(f"{name} must be positive, got {getattr(self, name)}")

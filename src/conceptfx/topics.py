@@ -8,11 +8,27 @@ topic-prediction task labels.
 
 A Gibbs sweep is sequential per model; independent seeds/models can run in
 parallel.  Fitting is deterministic under (docs, T, alpha, beta, iters, seed).
+
+The sweep is a pure-Python loop laid out for CPython's fast paths.  The count
+tables are lists of floats that hold exact integers: every count stays below
+2**53, so ``count + alpha`` rounds exactly as it would from an integer count,
+and CPython specialises float + float but not int + float.  The word-topic
+table is word-major, so each token binds its document row and its word row
+once, before the first sweep.  The denominators ``n_k[k] + V * beta`` are
+cached and recomputed, by the same expression, only for the two topics a
+token leaves and joins.  The new topic is drawn with ``bisect_left`` on the
+cumulative weights, which are non-decreasing with ``u <= total``, so it
+returns the first index whose cumulative weight reaches ``u``: the index the
+linear search found.  Each sweep thus draws the topics the integer-count loop
+drew, and the fit has the same bytes.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,13 +68,17 @@ class TopicAssignment:
     doc_ids: list[str]
 
 
-def _check_counts(n_dk, n_kw, n_k, doc_lens, sweep):
+def _check_counts(n_dk, n_wk, n_k, doc_lens, sweep):
     for d, row in enumerate(n_dk):
         if sum(row) != doc_lens[d]:
             raise TopicError(f"sweep {sweep}: document-topic counts drifted for doc {d}")
-    for k, row in enumerate(n_kw):
-        if sum(row) != n_k[k]:
+    for k, column in enumerate(zip(*n_wk)):
+        if sum(column) != n_k[k]:
             raise TopicError(f"sweep {sweep}: topic-word counts drifted for topic {k}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def fit_lda(docs, T: int, alpha: float | None = None, beta: float = 0.01,
@@ -69,12 +89,17 @@ def fit_lda(docs, T: int, alpha: float | None = None, beta: float = 0.01,
     tokenization are excluded from fitting (with a warning) and receive a
     uniform topic row.
     """
-    if T < 1:
-        raise TopicError(f"topic count must be >= 1, got {T}")
+    if not _is_int(T) or T < 1:
+        raise TopicError(f"topic count T must be an integer >= 1, got {T!r}")
     if alpha is None:
         alpha = 50.0 / T
-    if not (alpha > 0 and beta > 0 and iters >= 0):
-        raise TopicError(f"need alpha > 0, beta > 0 and iters >= 0, got {alpha}, {beta}, {iters}")
+    for name, value in (("alpha", alpha), ("beta", beta)):
+        if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value) and value > 0):
+            raise TopicError(f"need a finite {name} > 0, got {value!r}")
+    for name, value in (("iters", iters), ("seed", seed)):
+        if not _is_int(value) or value < 0:
+            raise TopicError(f"need an integer {name} >= 0, got {value!r}")
     docs = [list(doc) for doc in docs]
     if doc_ids is None:
         doc_ids = [f"doc-{i}" for i in range(len(docs))]
@@ -99,44 +124,47 @@ def fit_lda(docs, T: int, alpha: float | None = None, beta: float = 0.01,
     N = len(words)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 303)))
     z = rng.integers(T, size=N)
-    n_dk = np.zeros((D, T), dtype=np.int64)
-    np.add.at(n_dk, (doc_of, z), 1)
-    n_kw = np.zeros((T, V), dtype=np.int64)
-    np.add.at(n_kw, (z, words), 1)
-    n_k = np.bincount(z, minlength=T).tolist()
-    n_dk, n_kw, z = n_dk.tolist(), n_kw.tolist(), z.tolist()
-    tokens = list(zip(doc_of.tolist(), words.tolist()))
+    # Float counts holding exact integers, and a word-major n_wk[w][k]: see
+    # the module docstring.
+    n_dk = np.zeros((D, T))
+    np.add.at(n_dk, (doc_of, z), 1.0)
+    n_wk = np.zeros((V, T))
+    np.add.at(n_wk, (words, z), 1.0)
+    n_k = np.bincount(z, minlength=T).astype(float).tolist()
+    n_dk, n_wk, z = n_dk.tolist(), n_wk.tolist(), z.tolist()
+    # Token i's document-topic and word-topic rows, bound once.
+    rows = [(n_dk[d], n_wk[w]) for d, w in zip(doc_of.tolist(), words.tolist())]
 
     vbeta = V * beta
+    den = [n + vbeta for n in n_k]
+    topics = range(T)
     probs = [0.0] * T
     for sweep in range(iters):
         us = rng.random(N).tolist()
-        for i, (d, w) in enumerate(tokens):
-            row = n_dk[d]
-            k_old = z[i]
-            row[k_old] -= 1
-            n_kw[k_old][w] -= 1
-            n_k[k_old] -= 1
+        for i, (dk, wk) in enumerate(rows):
+            k = z[i]
+            dk[k] -= 1.0
+            wk[k] -= 1.0
+            n_k[k] -= 1.0
+            den[k] = n_k[k] + vbeta
             total = 0.0
-            for k in range(T):
-                p = (row[k] + alpha) * (n_kw[k][w] + beta) / (n_k[k] + vbeta)
-                total += p
+            for k in topics:
+                total += (dk[k] + alpha) * (wk[k] + beta) / den[k]
                 probs[k] = total
-            u = us[i] * total
-            k_new = 0
-            while probs[k_new] < u:
-                k_new += 1
-            z[i] = k_new
-            row[k_new] += 1
-            n_kw[k_new][w] += 1
-            n_k[k_new] += 1
+            # The first k with probs[k] >= us[i] * total.
+            k = bisect_left(probs, us[i] * total)
+            z[i] = k
+            dk[k] += 1.0
+            wk[k] += 1.0
+            n_k[k] += 1.0
+            den[k] = n_k[k] + vbeta
         if (sweep + 1) % _CHECK_EVERY == 0:
-            _check_counts(n_dk, n_kw, n_k, doc_lens, sweep + 1)
-    _check_counts(n_dk, n_kw, n_k, doc_lens, iters)
+            _check_counts(n_dk, n_wk, n_k, doc_lens, sweep + 1)
+    _check_counts(n_dk, n_wk, n_k, doc_lens, iters)
 
     lens = np.array(doc_lens, dtype=float)[:, None]
     theta = np.where(lens > 0, (np.array(n_dk, dtype=float) + alpha) / (lens + T * alpha), 1.0 / T)
-    topic_word = (np.array(n_kw, dtype=float) + beta) / (np.array(n_k, dtype=float)[:, None] + vbeta)
+    topic_word = (np.ascontiguousarray(np.array(n_wk).T) + beta) / (np.array(n_k)[:, None] + vbeta)
     return TopicModel(T=T, alpha=alpha, beta=beta, iters=iters, seed=seed,
                       vocab=vocab, doc_ids=list(doc_ids), theta=theta,
                       topic_word=topic_word, empty_docs=empty)

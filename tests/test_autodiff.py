@@ -293,6 +293,23 @@ class TestKernelBits:
         assert [_digest(a) for a in (out.data, *grads)] == self.PINNED[f"softmax/{dtype}"]
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_row_max_by_halving_equals_numpy_max(self, dtype):
+        from conceptfx.model.encoder import ATTN_MASK_BIAS
+        rng = np.random.default_rng(5)
+        for width in range(1, 66):
+            rows = rng.standard_normal((8, width)).astype(dtype)
+            rows[1] += ATTN_MASK_BIAS                   # every key masked
+            rows[2, width // 2:] += ATTN_MASK_BIAS      # padded tail
+            rows[3, width // 2] = 50.0                  # max in the middle column
+            rows[4, -1] = 50.0                          # max in the last column
+            rows[5, 0] = 50.0                           # max in the first column
+            rows[6] = 1.5                               # ties everywhere
+            scratch = np.empty(len(rows) * (width - 1), dtype)
+            got = ad._row_max(rows, scratch)
+            assert got.shape == (8, 1)
+            assert got.tobytes() == rows.max(axis=-1, keepdims=True).tobytes(), width
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_gelu_matches_written_out_formula(self, dtype):
         _, x, g = self._inputs((8, 32, 64), dtype)
         x.data *= 3

@@ -239,6 +239,16 @@ class TestEncoder:
         with pytest.raises(EncoderError, match=f"^{field} must be"):
             EncoderConfig(vocab_size=10, **{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("layers", 1.5), ("dim", 64.0), ("heads", True), ("vocab_size", 40.0),
+        ("ffn_dim", np.int64(256)), ("max_len", "32"),
+    ])
+    def test_non_int_sizes_rejected(self, field, value):
+        # layers=1.5 and dim=64.0 built a config; init_encoder_params then leaked TypeError.
+        from conceptfx.model.encoder import EncoderError
+        with pytest.raises(EncoderError, match=f"^{field} must be an int"):
+            EncoderConfig(**{"vocab_size": 40, field: value})
+
     @pytest.mark.parametrize("change, name, layer", [
         ("extra-layer", "layer2.attn.wq", 2), ("dropped", "layer1.ffn.w2", 1),
     ])

@@ -50,6 +50,37 @@ class TestFitLda:
         assert hashlib.sha256(model.topic_word.tobytes()).hexdigest() == (
             "3b253daaaf3237976be3e2bf706626c277217df4eb73c4e4f0b9f6ce3e90e2a8")
 
+    @pytest.mark.parametrize("corpus, kwargs, theta_sha, topic_word_sha", [
+        pytest.param("clusters", {"T": 3, "alpha": 0.1, "beta": 0.37, "iters": 5, "seed": 4},
+                     "e72c18d6422d3c18c70bcd3301ea220756aa1bd2e698339da1868dd76258f582",
+                     "9253bfe8eb015b5599898b4ef774f56c0e86825991ac8203b263f9a63c945f7f",
+                     id="fractional-priors"),
+        pytest.param("clusters", {"T": 1, "iters": 5, "seed": 2},
+                     "44a2420d6f45ff8516f66bbad47077a221eef78b5aa4e7df63d1f19ab1893f7f",
+                     "108115a21ff46237d0180039afc7da4e21ddb6b729fb2d5f93f1a5ff58dadc79",
+                     id="one-topic"),
+        pytest.param("with-empty", {"T": 4, "iters": 5, "seed": 5},
+                     "25799d4992fc1c9317dba46d6f3d4f65a186d202309771789cbb38570944bfb2",
+                     "5e3c10ccb7f5d3bb69bb4b6bca1f6f2a3ea6d768ccd8073cf214d12651423d44",
+                     id="empty-document"),
+        # 60 sweeps: the count check also runs after sweep 50.
+        pytest.param("clusters", {"T": 4, "iters": 60, "seed": 6},
+                     "8300ff914c89343c0e14f495777057e872b1a99188d4231d54044137a83c0142",
+                     "ac9fed8f318226f76648a59853b2177f1e25030c7b580e294fd5b4967e6ecd2b",
+                     id="periodic-check"),
+    ])
+    def test_characterization_pins(self, corpus, kwargs, theta_sha, topic_word_sha):
+        # Taken from the integer-count sampler with the linear topic search; a
+        # rewrite of the sweep must draw the same topics and so the same bytes.
+        docs = two_cluster_docs()
+        if corpus == "with-empty":
+            docs = docs[:5] + [[]] + docs[5:]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            model = fit_lda(docs, **kwargs)
+        assert hashlib.sha256(model.theta.tobytes()).hexdigest() == theta_sha
+        assert hashlib.sha256(model.topic_word.tobytes()).hexdigest() == topic_word_sha
+
     def test_empty_document_warns_and_gets_uniform_row(self):
         docs = [["x", "y"], [], ["y", "z", "x"]]
         with pytest.warns(UserWarning, match="1 empty documents"):
@@ -64,6 +95,14 @@ class TestFitLda:
         ([["a"], ["b"]], {"T": 2, "beta": -1.0}, "beta > 0"),
         ([["a"], ["b"]], {"T": 2, "alpha": -1.0}, "alpha > 0"),
         ([["a"], ["b"]], {"T": 2, "iters": -3}, "iters >= 0"),
+        ([["a"], ["b"]], {"T": 2.0}, "topic count T"),
+        ([["a"], ["b"]], {"T": True}, "topic count T"),
+        ([["a"], ["b"]], {"T": 2, "iters": 2.5}, "integer iters"),
+        ([["a"], ["b"]], {"T": 2, "seed": -1}, "integer seed"),
+        ([["a"], ["b"]], {"T": 2, "seed": 1.0}, "integer seed"),
+        ([["a"], ["b"]], {"T": 2, "beta": float("inf")}, "finite beta"),
+        ([["a"], ["b"]], {"T": 2, "alpha": float("nan")}, "finite alpha"),
+        ([["a"], ["b"]], {"T": 2, "alpha": "0.1"}, "finite alpha"),
     ])
     def test_typed_errors(self, docs, kwargs, match):
         with warnings.catch_warnings():
