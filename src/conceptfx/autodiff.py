@@ -12,9 +12,10 @@ pass multiplies the upstream gradient by a negative scalar.  Ops take
 A ``Tape`` records primitive applications in execution order; reversed
 execution order is a valid topological order, so ``Tape.backward`` visits each
 node exactly once and accumulates gradients additively on fan-out.  It raises
-``AutodiffError`` for a loss it did not record.  A tape is single-threaded;
-distinct tapes may run in parallel.  Every op checks its output for NaN/Inf and
-raises ``NonFiniteError`` on detection.
+``AutodiffError`` for a loss it did not record.  Each thread keeps its own
+stack of entered tapes, so a tape records only its own thread's ops, and
+distinct tapes may run in parallel threads.  Every op checks its output for
+NaN/Inf and raises ``NonFiniteError`` on detection.
 
 Kernels allocate their output and, only when a tape records the op, what their
 backward multiplies by; ``_recording`` is the one test of that, shared with
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import collections
 import math
+import threading
 
 import numpy as np
 
@@ -59,16 +61,15 @@ class Tensor:
     ``Tape.backward`` for leaf tensors with ``requires_grad=True``.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "name")
+    __slots__ = ("data", "grad", "requires_grad")
 
-    def __init__(self, data, requires_grad=False, name=None, dtype=None):
+    def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data)
         if dtype is not None:
             arr = arr.astype(dtype)
         self.data = arr
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self.name = name
 
     @property
     def shape(self):
@@ -86,13 +87,20 @@ class Tensor:
         return self.data.item()
 
     def __repr__(self):
-        return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad}, name={self.name!r})"
+        return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"
 
 
 _Node = collections.namedtuple("_Node", "out inputs backward_fn op")
 
 
-_ACTIVE_TAPES: list["Tape"] = []
+class _ActiveTapes(threading.local):
+    """The stack of entered tapes, one per thread."""
+
+    def __init__(self):
+        self.stack: list[Tape] = []
+
+
+_ACTIVE_TAPES = _ActiveTapes()
 
 
 class Tape:
@@ -106,11 +114,11 @@ class Tape:
         self._nodes: list[_Node] = []
 
     def __enter__(self):
-        _ACTIVE_TAPES.append(self)
+        _ACTIVE_TAPES.stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _ACTIVE_TAPES.pop()
+        popped = _ACTIVE_TAPES.stack.pop()
         assert popped is self
         return False
 
@@ -149,7 +157,7 @@ class Tape:
 
 def _recording(*inputs: Tensor) -> bool:
     """Whether an op on ``inputs`` is taped: a tape is active and an input needs a gradient."""
-    return bool(_ACTIVE_TAPES) and any(t.requires_grad for t in inputs)
+    return bool(_ACTIVE_TAPES.stack) and any(t.requires_grad for t in inputs)
 
 
 def _check_finite(data, op):
@@ -162,7 +170,7 @@ def _make(op, out_data, inputs, backward_fn) -> Tensor:
     requires = _recording(*inputs)
     out = Tensor(out_data, requires_grad=requires)
     if requires:
-        _ACTIVE_TAPES[-1]._record(out, inputs, backward_fn, op)
+        _ACTIVE_TAPES.stack[-1]._record(out, inputs, backward_fn, op)
     return out
 
 

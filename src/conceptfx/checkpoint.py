@@ -4,9 +4,12 @@ A checkpoint file is::
 
     [u64 little-endian manifest length][manifest JSON, UTF-8][raw value blob]
 
-The manifest holds an optional structured ``config`` block plus one entry per
-tensor: ``{name, shape, dtype, byte_offset}``.  Values are stored
-little-endian and round-trip bit-exactly.
+The manifest holds an optional structured ``config`` block, one entry per
+tensor, ``{name, shape, dtype}``, and ``sha256``, the ``checkpoint_hash`` of the
+tensors.  The blob is the tensors' little-endian values back to back in manifest
+order, so a tensor's offset is the size of the tensors before it.  Loading
+rejects a blob shorter or longer than its tensors and values that do not hash
+to ``sha256``.  Values round-trip bit-exactly.
 """
 
 from __future__ import annotations
@@ -28,13 +31,6 @@ class CheckpointError(Exception):
     pass
 
 
-def _dtype_tag(dtype: np.dtype) -> str:
-    tag = dtype.newbyteorder("<").str
-    if tag not in _DTYPES:
-        raise CheckpointError(f"unsupported checkpoint dtype {dtype}")
-    return tag
-
-
 def save_checkpoint(path, arrays: dict[str, np.ndarray], config: dict | None = None) -> None:
     """Write named arrays plus a JSON config block to ``path``.
 
@@ -42,19 +38,15 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], config: dict | None = N
     then renamed over ``path``, so a failed save leaves any earlier file at
     ``path`` intact and no temporary file behind.
     """
-    entries = []
-    blob = bytearray()
+    stored = {}
     for name in sorted(arrays):
         arr = np.ascontiguousarray(arrays[name])
-        tag = _dtype_tag(arr.dtype)
-        entries.append({
-            "name": name,
-            "shape": list(arr.shape),
-            "dtype": tag,
-            "byte_offset": len(blob),
-        })
-        blob += arr.astype(_DTYPES[tag], copy=False).tobytes()
-    manifest = json.dumps({"config": config or {}, "tensors": entries},
+        stored[name] = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
+        if stored[name].dtype.str not in _DTYPES:
+            raise CheckpointError(f"unsupported checkpoint dtype {arr.dtype}")
+    entries = [{"name": name, "shape": list(arr.shape), "dtype": arr.dtype.str}
+               for name, arr in stored.items()]
+    manifest = json.dumps({"config": config or {}, "tensors": entries, "sha256": _digest(stored)},
                           sort_keys=True, separators=(",", ":")).encode("utf-8")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -63,7 +55,8 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], config: dict | None = N
         with os.fdopen(fd, "wb") as f:
             f.write(struct.pack("<Q", len(manifest)))
             f.write(manifest)
-            f.write(bytes(blob))
+            for arr in stored.values():
+                f.write(arr.data)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -74,14 +67,14 @@ def _is_count(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
-def _layout(path, index: int, entry) -> tuple[str, np.dtype, tuple[int, ...], int, int]:
-    """Validated ``(name, dtype, shape, start, end)`` of one manifest entry."""
+def _layout(path, index: int, entry) -> tuple[str, np.dtype, tuple[int, ...]]:
+    """Validated ``(name, dtype, shape)`` of one manifest entry."""
     if not isinstance(entry, dict):
         raise CheckpointError(f"{path}: tensor entry {index} is not a JSON object")
-    missing = [k for k in ("name", "shape", "dtype", "byte_offset") if k not in entry]
+    missing = [k for k in ("name", "shape", "dtype") if k not in entry]
     if missing:
         raise CheckpointError(f"{path}: tensor entry {index} lacks {', '.join(missing)}")
-    name, tag, shape, start = entry["name"], entry["dtype"], entry["shape"], entry["byte_offset"]
+    name, tag, shape = entry["name"], entry["dtype"], entry["shape"]
     if not isinstance(name, str):
         raise CheckpointError(f"{path}: tensor entry {index} has a non-string name {name!r}")
     dtype = _DTYPES.get(tag) if isinstance(tag, str) else None
@@ -89,9 +82,7 @@ def _layout(path, index: int, entry) -> tuple[str, np.dtype, tuple[int, ...], in
         raise CheckpointError(f"{path}: tensor {name!r}: unsupported dtype {tag!r}")
     if not isinstance(shape, list) or not all(_is_count(d) for d in shape):
         raise CheckpointError(f"{path}: tensor {name!r}: shape {shape!r} is not a list of counts")
-    if not _is_count(start):
-        raise CheckpointError(f"{path}: tensor {name!r}: byte_offset {start!r} is not a count")
-    return name, dtype, tuple(shape), start, start + math.prod(shape) * dtype.itemsize
+    return name, dtype, tuple(shape)
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
@@ -108,23 +99,34 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         raise CheckpointError(f"{path}: bad manifest: {e}") from e
     if not isinstance(manifest, dict) or not isinstance(manifest.get("tensors"), list):
         raise CheckpointError(f"{path}: manifest has no tensor list")
-    blob = raw[8 + mlen:]
+    blob = memoryview(raw)[8 + mlen:]
     arrays = {}
+    start = 0
     for index, entry in enumerate(manifest["tensors"]):
-        name, dtype, shape, start, end = _layout(path, index, entry)
+        name, dtype, shape = _layout(path, index, entry)
+        end = start + math.prod(shape) * dtype.itemsize
         if end > len(blob):
             raise CheckpointError(f"{path}: tensor {name!r} overruns blob")
         arrays[name] = np.frombuffer(blob[start:end], dtype=dtype).reshape(shape).copy()
+        start = end
+    if start != len(blob):
+        raise CheckpointError(f"{path}: {len(blob) - start} bytes after the last tensor")
+    if manifest.get("sha256") != _digest(arrays):
+        raise CheckpointError(f"{path}: tensor values do not match the manifest's sha256")
     return arrays, manifest.get("config", {})
 
 
-def checkpoint_hash(arrays: dict[str, np.ndarray]) -> str:
-    """SHA-256 over names, shapes, dtypes and raw bytes; order-independent."""
+def _digest(arrays: dict[str, np.ndarray]) -> str:
     h = hashlib.sha256()
     for name in sorted(arrays):
         arr = np.ascontiguousarray(arrays[name])
         h.update(name.encode("utf-8"))
         h.update(str(arr.shape).encode())
         h.update(arr.dtype.str.encode())
-        h.update(arr.tobytes())
+        h.update(arr)
     return h.hexdigest()
+
+
+def checkpoint_hash(arrays: dict[str, np.ndarray]) -> str:
+    """SHA-256 over names, shapes, dtypes and raw bytes; order-independent."""
+    return _digest(arrays)

@@ -207,8 +207,9 @@ def generate_poms_corpus(templates: list[Template] | None = None,
     """Generate a mood-state corpus with counterfactual twins for the test set.
 
     The measured concept-label correlation is checked against the value the
-    bias specification implies (within +/-0.05) whenever the corpus is large
-    enough (n >= 2000) for the sample correlation to be meaningful.
+    bias specification implies whenever the corpus is large enough (n >= 2000)
+    for the sample correlation to be meaningful.  The tolerance is 5/sqrt(n),
+    about five standard deviations of the sample correlation on every rung.
     """
     templates = templates if templates is not None else default_templates()
     lexicons = lexicons if lexicons is not None else default_lexicons()
@@ -217,8 +218,6 @@ def generate_poms_corpus(templates: list[Template] | None = None,
         raise CorpusError("template list must be non-empty")
     if bias.concept not in _CONCEPTS:
         raise CorpusError(f"unsupported bias concept {bias.concept!r} for a mood-state corpus")
-    if bias.label_probs is None or set(bias.label_probs) != set(POMS_LABELS):
-        raise CorpusError("bias specification must give a concept probability for every label")
     if n < len(POMS_LABELS):
         raise CorpusError(
             f"bias probabilities infeasible for n={n}: need at least one example per label "
@@ -249,8 +248,9 @@ def generate_poms_corpus(templates: list[Template] | None = None,
         from .bias import measure_correlation
         measured = measure_correlation(bundle, bias.concept, target_label="joy")
         expected = bias.expected_correlation("joy")
-        if abs(measured - expected) > 0.05:
+        tolerance = 5 / n ** 0.5
+        if abs(measured - expected) > tolerance:
             raise CorpusError(
                 f"generated correlation {measured:.4f} deviates from the bias target "
-                f"{expected:.4f} by more than 0.05")
+                f"{expected:.4f} by more than {tolerance:.4f}")
     return bundle

@@ -133,7 +133,9 @@ def twin_origin(twin_id: str) -> tuple[str, str]:
     return factual_id, concept
 
 
-BIAS_VERSIONS = ("balanced", "gentle", "aggressive")
+# version -> (P(concept=1 | joy), P(concept=1 | any other mood-state label))
+_POMS_LADDER = {"balanced": (0.5, 0.5), "gentle": (0.9, 0.5), "aggressive": (0.9, 0.1)}
+BIAS_VERSIONS = tuple(_POMS_LADDER)
 
 
 @dataclass
@@ -141,21 +143,16 @@ class BiasSpec:
     """How much concept-label correlation to inject into a corpus.
 
     POMS-style corpora use ``label_probs`` (probability that the concept takes
-    value 1 given each label); review-style corpora (concept ``adjectives``)
-    delete examples sorted by their adjective ratio.
+    value 1 given each label, read off the version's ladder rung); review-style
+    corpora (concept ``adjectives``) delete examples sorted by their adjective ratio.
     """
 
     version: str
-    concept: str | None = None
-    label_probs: dict[str, float] | None = None
+    concept: str
 
     def __post_init__(self):
         if self.version not in BIAS_VERSIONS:
             raise CorpusError(f"unknown bias version {self.version!r}")
-        if self.label_probs is not None:
-            for label, p in self.label_probs.items():
-                if not 0.0 <= p <= 1.0:
-                    raise CorpusError(f"bias probability for label {label!r} out of [0, 1]: {p}")
 
     @classmethod
     def poms(cls, version: str, concept: str = "gender") -> "BiasSpec":
@@ -165,33 +162,26 @@ class BiasSpec:
         is 90% concept=1, other labels stay 50/50.  aggressive: ``joy`` is
         90% concept=1 and the other labels drop to 10%.
         """
-        others = ("anger", "sadness", "fear")
-        if version == "balanced":
-            probs = {label: 0.5 for label in ("joy", *others)}
-        elif version == "gentle":
-            probs = {"joy": 0.9, **{label: 0.5 for label in others}}
-        else:
-            probs = {"joy": 0.9, **{label: 0.1 for label in others}}
-        return cls(version=version, concept=concept, label_probs=probs)
+        return cls(version=version, concept=concept)
 
     @classmethod
     def reviews(cls, version: str) -> "BiasSpec":
         return cls(version=version, concept="adjectives")
 
+    @property
+    def label_probs(self) -> dict[str, float]:
+        p_joy, p_other = _POMS_LADDER[self.version]
+        return {"joy": p_joy, **{label: p_other for label in ("anger", "sadness", "fear")}}
+
     def expected_correlation(self, target_label: str) -> float:
         """Pearson correlation implied by ``label_probs`` with uniform labels."""
-        if self.label_probs is None:
-            raise CorpusError("expected_correlation requires label_probs")
-        labels = sorted(self.label_probs)
-        k = len(labels)
-        p_target = self.label_probs[target_label]
-        e_c = sum(self.label_probs.values()) / k
+        probs = self.label_probs
+        k = len(probs)
+        e_c = sum(probs.values()) / k
         e_y = 1.0 / k
-        cov = p_target / k - e_c * e_y
+        cov = probs[target_label] / k - e_c * e_y
         var_c = e_c * (1 - e_c)
         var_y = e_y * (1 - e_y)
-        if var_c == 0 or var_y == 0:
-            raise UndefinedCorrelationError("degenerate bias specification")
         return cov / (var_c * var_y) ** 0.5
 
 

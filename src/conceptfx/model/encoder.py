@@ -10,6 +10,7 @@ invariant to the PAD tail.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -50,8 +51,9 @@ class EncoderConfig:
             raise EncoderError(f"dim {self.dim} not divisible by heads {self.heads}")
         if self.vocab_size < 5:
             raise EncoderError("vocabulary too small for an encoder")
-        if not 0.0 <= self.dropout < 1.0:
-            raise EncoderError(f"dropout out of range: {self.dropout}")
+        if not (isinstance(self.dropout, numbers.Real) and not isinstance(self.dropout, bool)
+                and 0.0 <= self.dropout < 1.0):
+            raise EncoderError(f"dropout must be a real number in [0, 1), got {self.dropout!r}")
 
     @property
     def head_dim(self) -> int:
@@ -89,7 +91,7 @@ def init_encoder_params(config: EncoderConfig, seed: int, dtype=np.float32) -> d
         params[p + "ffn.b2"] = np.zeros(config.dim)
         params[p + "ln2_g"] = np.ones(config.dim)
         params[p + "ln2_b"] = np.zeros(config.dim)
-    return {name: ad.Tensor(arr, requires_grad=True, name=name, dtype=dtype)
+    return {name: ad.Tensor(arr, requires_grad=True, dtype=dtype)
             for name, arr in params.items()}
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,8 +18,11 @@ class VocabError(Exception):
 class Vocab:
     """Token-to-id map; ids are dense and stable for a fixed corpus+seed."""
 
-    token_to_id: dict[str, int]
     id_to_token: list[str]
+    token_to_id: dict[str, int] = field(init=False)
+
+    def __post_init__(self):
+        self.token_to_id = {tok: i for i, tok in enumerate(self.id_to_token)}
 
     @property
     def size(self) -> int:
@@ -37,9 +40,7 @@ def build_vocab(corpus) -> Vocab:
     seen = set()
     for ex in examples:
         seen.update(t.surface for t in ex.tokens)
-    id_to_token = list(SPECIAL_TOKENS) + sorted(seen)
-    token_to_id = {tok: i for i, tok in enumerate(id_to_token)}
-    return Vocab(token_to_id=token_to_id, id_to_token=id_to_token)
+    return Vocab(list(SPECIAL_TOKENS) + sorted(seen))
 
 
 def encode(tokens, vocab: Vocab, max_len: int) -> tuple[np.ndarray, bool]:

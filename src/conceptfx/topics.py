@@ -100,6 +100,8 @@ def fit_lda(docs, T: int, alpha: float | None = None, beta: float = 0.01,
     for name, value in (("iters", iters), ("seed", seed)):
         if not _is_int(value) or value < 0:
             raise TopicError(f"need an integer {name} >= 0, got {value!r}")
+    if isinstance(docs, str):
+        raise TopicError("docs must be a sequence of token sequences, got a string")
     docs = [list(doc) for doc in docs]
     if doc_ids is None:
         doc_ids = [f"doc-{i}" for i in range(len(docs))]
@@ -109,7 +111,10 @@ def fit_lda(docs, T: int, alpha: float | None = None, beta: float = 0.01,
     if empty:
         warnings.warn(f"{len(empty)} empty documents excluded from topic fitting", stacklevel=2)
 
-    vocab = sorted({w for doc in docs for w in doc})
+    try:
+        vocab = sorted({w for doc in docs for w in doc})
+    except TypeError as e:
+        raise TopicError(f"tokens must be hashable and sortable together: {e}") from e
     word_id = {w: i for i, w in enumerate(vocab)}
     V = len(vocab)
     if V == 0:

@@ -3,6 +3,7 @@
 import hashlib
 import inspect
 import re
+import threading
 import time
 import tracemalloc
 
@@ -619,6 +620,30 @@ class TestTape:
         x = ad.Tensor(np.ones(3), requires_grad=True)
         y = ad.mul(x, x)
         assert y.requires_grad is False
+
+    def test_tapes_in_two_threads_record_only_their_own_ops(self):
+        # With one module-wide tape stack, both threads' ops landed on the tape
+        # entered last.
+        barrier = threading.Barrier(2, timeout=30)
+        results = {}
+
+        def run(name, value):
+            w = ad.Tensor(np.full(3, value), requires_grad=True)
+            with ad.Tape() as tape:
+                barrier.wait()  # both tapes are entered
+                loss = ad.sum_axis(ad.mul(w, w), 0)
+                barrier.wait()  # both graphs are recorded
+            tape.backward(loss)
+            results[name] = (len(tape), w.grad)
+
+        threads = [threading.Thread(target=run, args=args) for args in (("a", 1.0), ("b", 2.0))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert {name: n for name, (n, _) in results.items()} == {"a": 2, "b": 2}
+        np.testing.assert_array_equal(results["a"][1], np.full(3, 2.0))
+        np.testing.assert_array_equal(results["b"][1], np.full(3, 4.0))
 
     def test_backward_needs_scalar(self):
         x = ad.Tensor(np.ones(3), requires_grad=True)

@@ -45,6 +45,25 @@ class TestPomsGeneration:
         assert r == pytest.approx(phi_coefficient(joy_binarized(bundle, "gender")), abs=1e-12)
         assert abs(r - BiasSpec.poms("aggressive").expected_correlation("joy")) <= 0.05
 
+    @pytest.mark.parametrize("concept", ["gender", "race"])
+    @pytest.mark.parametrize("seed", [19, 55, 94])
+    def test_balanced_sampling_noise_passes_the_self_check(self, seed, concept):
+        # These draws sit 0.050-0.074 from 0; a fixed 0.05 tolerance rejected them.
+        generate_poms_corpus(bias=BiasSpec.poms("balanced", concept=concept), n=2000, seed=seed)
+
+    def test_self_check_rejects_a_draw_off_its_rung(self, monkeypatch):
+        aggressive = BiasSpec.poms("aggressive").expected_correlation("joy")
+        monkeypatch.setattr(BiasSpec, "expected_correlation", lambda self, label: aggressive)
+        with pytest.raises(CorpusError, match="bias target 0.7559 by more than 0.1118"):
+            generate_poms_corpus(bias=BiasSpec.poms("balanced"), n=2000, seed=19)
+
+    @pytest.mark.parametrize("version, bits", [
+        ("balanced", "0x0.0p+0"), ("gentle", "0x1.6a09e667f3bcep-2"),
+        ("aggressive", "0x1.83091e6a7f7e5p-1"),
+    ])
+    def test_expected_correlation_bits(self, version, bits):
+        assert BiasSpec.poms(version).expected_correlation("joy").hex() == bits
+
     def test_bias_monotonicity(self):
         rs = []
         for version in ("balanced", "gentle", "aggressive"):

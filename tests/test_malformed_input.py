@@ -100,7 +100,7 @@ def test_read_jsonl_rejects_malformed_file(tmp_path, corrupt, match):
 
 
 def _entry(**overrides):
-    entry = {"name": "w", "shape": [2], "dtype": "<f4", "byte_offset": 0}
+    entry = {"name": "w", "shape": [2], "dtype": "<f4"}
     entry.update(overrides)
     return {k: v for k, v in entry.items() if v is not None}
 
@@ -116,12 +116,9 @@ def _entry(**overrides):
     ({"tensors": [_entry(shape="ab")]}, "tensor 'w': shape 'ab'"),
     ({"tensors": [_entry(shape=[2.0])]}, "tensor 'w': shape"),
     ({"tensors": [_entry(shape=[-2])]}, "tensor 'w': shape"),
-    ({"tensors": [_entry(byte_offset=-4)]}, "tensor 'w': byte_offset -4"),
-    ({"tensors": [_entry(byte_offset="0")]}, "tensor 'w': byte_offset"),
-    ({"tensors": [_entry(byte_offset=4)]}, "tensor 'w' overruns blob"),
+    ({"tensors": [_entry(shape=[3])]}, "tensor 'w' overruns blob"),
 ], ids=["no-tensors", "list-manifest", "tensor-dict", "list-entry", "no-shape", "list-name",
-        "list-dtype", "string-shape", "float-shape", "negative-shape", "negative-offset",
-        "string-offset", "overrun"])
+        "list-dtype", "string-shape", "float-shape", "negative-shape", "overrun"])
 def test_load_checkpoint_rejects_malformed_manifest(tmp_path, manifest, match):
     path = tmp_path / "bad.ckpt"
     raw = json.dumps(manifest).encode("utf-8")

@@ -249,6 +249,13 @@ class TestEncoder:
         with pytest.raises(EncoderError, match=f"^{field} must be an int"):
             EncoderConfig(**{"vocab_size": 40, field: value})
 
+    @pytest.mark.parametrize("value", ["0.1", None, True, 1.0, -0.1, float("nan")])
+    def test_dropout_must_be_a_real_in_unit_interval(self, value):
+        # dropout="0.1" leaked TypeError from the range check.
+        from conceptfx.model.encoder import EncoderError
+        with pytest.raises(EncoderError, match="^dropout must be a real number in"):
+            EncoderConfig(vocab_size=40, dropout=value)
+
     @pytest.mark.parametrize("change, name, layer", [
         ("extra-layer", "layer2.attn.wq", 2), ("dropped", "layer1.ffn.w2", 1),
     ])

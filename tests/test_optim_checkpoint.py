@@ -1,9 +1,16 @@
 """Adam update semantics and checkpoint round-trips."""
 
+import functools
+import json
 import os
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conceptfx.autodiff import Tensor
 from conceptfx.checkpoint import (CheckpointError, checkpoint_hash,
@@ -94,6 +101,16 @@ class TestAdam:
         assert p.grad is None
 
 
+@functools.cache
+def saved_checkpoint() -> bytes:
+    """The bytes of a small two-dtype checkpoint."""
+    arrays = {"enc.w": np.arange(6, dtype=np.float32).reshape(2, 3) / 7,
+              "enc.b": np.array([0.5, -2.0])}
+    with tempfile.TemporaryDirectory() as d:
+        save_checkpoint(Path(d) / "ck.bin", arrays, {"dim": 3})
+        return (Path(d) / "ck.bin").read_bytes()
+
+
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -137,6 +154,40 @@ class TestCheckpoint:
         path = tmp_path / "bad.bin"
         path.write_bytes(b"\x05\x00\x00")
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(["flip", "truncate", "append"]), data=st.data())
+    def test_damaged_file_rejected(self, kind, data):
+        # A flipped blob bit and appended bytes used to load silently.
+        raw = saved_checkpoint()
+        blob_start = 8 + struct.unpack("<Q", raw[:8])[0]
+        if kind == "flip":
+            bit = data.draw(st.integers(0, 8 * (len(raw) - blob_start) - 1))
+            damaged = bytearray(raw)
+            damaged[blob_start + bit // 8] ^= 1 << bit % 8
+        elif kind == "truncate":
+            damaged = raw[:data.draw(st.integers(0, len(raw) - 1))]
+        else:
+            damaged = raw + data.draw(st.binary(min_size=1, max_size=16))
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "ck.bin"
+            path.write_bytes(bytes(damaged))
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path)
+
+    @pytest.mark.parametrize("digest", [None, "0" * 64])
+    def test_missing_or_wrong_digest_rejected(self, tmp_path, digest):
+        raw = saved_checkpoint()
+        mlen = struct.unpack("<Q", raw[:8])[0]
+        manifest = json.loads(raw[8:8 + mlen])
+        manifest.pop("sha256")
+        if digest is not None:
+            manifest["sha256"] = digest
+        head = json.dumps(manifest).encode("utf-8")
+        path = tmp_path / "ck.bin"
+        path.write_bytes(struct.pack("<Q", len(head)) + head + raw[8 + mlen:])
+        with pytest.raises(CheckpointError, match="sha256"):
             load_checkpoint(path)
 
     def test_hash_sensitive_to_values(self):

@@ -103,6 +103,9 @@ class TestFitLda:
         ([["a"], ["b"]], {"T": 2, "beta": float("inf")}, "finite beta"),
         ([["a"], ["b"]], {"T": 2, "alpha": float("nan")}, "finite alpha"),
         ([["a"], ["b"]], {"T": 2, "alpha": "0.1"}, "finite alpha"),
+        ("ab", {"T": 2}, "got a string"),
+        ([["a", ["b"]]], {"T": 2}, "hashable and sortable.*unhashable"),
+        ([[1, "a"]], {"T": 2}, "hashable and sortable.*not supported"),
     ])
     def test_typed_errors(self, docs, kwargs, match):
         with warnings.catch_warnings():
