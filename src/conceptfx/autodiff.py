@@ -462,9 +462,9 @@ class DropoutRng:
     """
 
     def __init__(self, seed: int):
+        if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or not 0 <= seed < 2 ** 128:
+            raise AutodiffError(f"dropout seed must be an integer in [0, 2**128) for Philox, got {seed!r}")
         self.seed = int(seed)
-        if not 0 <= self.seed < 2 ** 128:
-            raise AutodiffError(f"dropout seed must be in [0, 2**128) for Philox, got {self.seed}")
         self.calls = 0
 
     def keep_mask(self, shape, keep_prob: float) -> np.ndarray:
@@ -551,7 +551,10 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 
 def transpose(x: Tensor, axes) -> Tensor:
-    out = x.data.transpose(axes)
+    try:
+        out = x.data.transpose(axes)
+    except ValueError as e:
+        raise ShapeError(f"transpose of {x.shape} by axes {axes!r}: {e}") from e
     inverse = np.argsort(axes)
 
     def backward(g):
@@ -582,7 +585,10 @@ def gather_positions(x: Tensor, batch_idx: np.ndarray, pos_idx: np.ndarray) -> T
 
 
 def sum_axis(x: Tensor, axis: int) -> Tensor:
-    out = x.data.sum(axis=axis)
+    try:
+        out = x.data.sum(axis=axis)
+    except ValueError as e:
+        raise ShapeError(f"sum_axis of {x.shape} over axis {axis!r}: {e}") from e
 
     def backward(g):
         return (np.broadcast_to(np.expand_dims(g, axis), x.shape).copy(),)
@@ -592,7 +598,10 @@ def sum_axis(x: Tensor, axis: int) -> Tensor:
 
 def concat(a: Tensor, b: Tensor) -> Tensor:
     """Join along the last axis."""
-    out = np.concatenate([a.data, b.data], axis=-1)
+    try:
+        out = np.concatenate([a.data, b.data], axis=-1)
+    except ValueError as e:
+        raise ShapeError(f"concat of {a.shape} and {b.shape}: {e}") from e
     split = a.shape[-1]
 
     def backward(g):

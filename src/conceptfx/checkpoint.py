@@ -5,11 +5,11 @@ A checkpoint file is::
     [u64 little-endian manifest length][manifest JSON, UTF-8][raw value blob]
 
 The manifest holds an optional structured ``config`` block, one entry per
-tensor, ``{name, shape, dtype}``, and ``sha256``, the ``checkpoint_hash`` of the
-tensors.  The blob is the tensors' little-endian values back to back in manifest
+tensor, ``{name, shape, dtype}``, and ``sha256``, a digest of the tensors and the
+config.  The blob is the tensors' little-endian values back to back in manifest
 order, so a tensor's offset is the size of the tensors before it.  Loading
-rejects a blob shorter or longer than its tensors and values that do not hash
-to ``sha256``.  Values round-trip bit-exactly.
+rejects a blob shorter or longer than its tensors and a ``sha256`` that does not
+match.  Values and shapes (0-d ones too) round-trip bit-exactly.
 """
 
 from __future__ import annotations
@@ -40,13 +40,14 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], config: dict | None = N
     """
     stored = {}
     for name in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[name])
+        arr = np.asarray(arrays[name], order="C")
         stored[name] = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
         if stored[name].dtype.str not in _DTYPES:
             raise CheckpointError(f"unsupported checkpoint dtype {arr.dtype}")
     entries = [{"name": name, "shape": list(arr.shape), "dtype": arr.dtype.str}
                for name, arr in stored.items()]
-    manifest = json.dumps({"config": config or {}, "tensors": entries, "sha256": _digest(stored)},
+    config = config or {}
+    manifest = json.dumps({"config": config, "tensors": entries, "sha256": _seal(stored, config)},
                           sort_keys=True, separators=(",", ":")).encode("utf-8")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -111,20 +112,26 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         start = end
     if start != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - start} bytes after the last tensor")
-    if manifest.get("sha256") != _digest(arrays):
-        raise CheckpointError(f"{path}: tensor values do not match the manifest's sha256")
-    return arrays, manifest.get("config", {})
+    config = manifest.get("config", {})
+    if manifest.get("sha256") != _seal(arrays, config):
+        raise CheckpointError(f"{path}: tensors and config do not match the manifest's sha256")
+    return arrays, config
 
 
 def _digest(arrays: dict[str, np.ndarray]) -> str:
     h = hashlib.sha256()
     for name in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[name])
+        arr = np.asarray(arrays[name], order="C")
         h.update(name.encode("utf-8"))
         h.update(str(arr.shape).encode())
         h.update(arr.dtype.str.encode())
         h.update(arr)
     return h.hexdigest()
+
+
+def _seal(arrays: dict[str, np.ndarray], config) -> str:
+    """The manifest's ``sha256``: a digest of the tensors' digest and the config's sorted JSON."""
+    return hashlib.sha256((_digest(arrays) + json.dumps(config, sort_keys=True)).encode("utf-8")).hexdigest()
 
 
 def checkpoint_hash(arrays: dict[str, np.ndarray]) -> str:

@@ -2,13 +2,14 @@
 
 Line 1 is a header ``{schema_version, seed, bias_version, concepts,
 label_names, domains, provenance}``; every following line is one example
-``{id, pair_id, split, label, domain, concepts, tokens}`` with tokens encoded
-as ``{"t": surface, "s": slot}``.  Keys are emitted in exactly this order and
+``{id, split, label, domain, concepts, tokens}`` with tokens encoded as
+``{"t": surface, "s": slot}``.  Keys are emitted in exactly this order and
 surfaces are lowercase UTF-8, so identical bundles serialize to identical
-bytes.  Counterfactual twins are stored with ``split="cf"`` under the ids
-that ``types.twin`` gives them, after every factual example.  The
-``pair_id`` column is derived from ``CorpusBundle.pairs`` on write (a paired
-factual's own id, a twin's factual id, else null) and checked on read.
+bytes.  This is schema 2; a schema 1 file, which also stored each pair in a
+column of its own, is rejected.  Counterfactual twins are stored with
+``split="cf"`` after every factual example, under the ids that
+``types.twin`` gives them: a twin's id, ``<factual-id>~cf~<concept>``, is the
+only record of its pair.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 from .types import (BIAS_VERSIONS, BundleMeta, CorpusBundle, CorpusError, Example,
                     ExamplePair, SLOT_KINDS, TaggedToken, twin_origin)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def load_data(name: str) -> dict:
@@ -28,10 +29,9 @@ def load_data(name: str) -> dict:
     return json.loads(resources.files("conceptfx.corpus").joinpath(f"data/{name}").read_text("utf-8"))
 
 
-def _example_record(ex: Example, split: str, pair_id: str | None) -> dict:
+def _example_record(ex: Example, split: str) -> dict:
     return {
         "id": ex.id,
-        "pair_id": pair_id,
         "split": split,
         "label": ex.label,
         "domain": ex.domain,
@@ -56,22 +56,17 @@ def write_jsonl(bundle: CorpusBundle, path) -> None:
         "domains": list(meta.domains),
         "provenance": {k: meta.lexicon_info[k] for k in sorted(meta.lexicon_info)},
     }
-    paired = {pair.factual.id for pair in bundle.pairs}
     lines = [_dump(header)]
     for split in ("train", "dev", "test"):
-        for ex in getattr(bundle, split):
-            if any(t.surface != t.surface.lower() for t in ex.tokens):
-                raise CorpusError(f"example {ex.id}: surfaces must be lowercase")
-            lines.append(_dump(_example_record(ex, split, ex.id if ex.id in paired else None)))
-    for pair in bundle.pairs:
-        lines.append(_dump(_example_record(pair.counterfactual, "cf", pair.factual.id)))
+        lines.extend(_dump(_example_record(ex, split)) for ex in getattr(bundle, split))
+    lines.extend(_dump(_example_record(pair.counterfactual, "cf")) for pair in bundle.pairs)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _parse_example(record: dict, meta: BundleMeta) -> tuple[Example, str | None]:
-    """The example a record holds, validated against the header, and its pair_id."""
+def _parse_example(record: dict, meta: BundleMeta) -> Example:
+    """The example a record holds, validated against the header."""
     try:
         if not isinstance(record["id"], str):
             raise CorpusError(f"example id must be a string, got {record['id']!r}")
@@ -83,11 +78,10 @@ def _parse_example(record: dict, meta: BundleMeta) -> tuple[Example, str | None]
             concepts={str(k): int(v) for k, v in record["concepts"].items()},
             domain=record["domain"],
         )
-        pair_id = record["pair_id"]
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise CorpusError(f"malformed example record: {e!r}") from e
     ex.validate(len(meta.label_names), None, tuple(meta.concepts))
-    return ex, pair_id
+    return ex
 
 
 def _parse_header(header: dict) -> BundleMeta:
@@ -131,7 +125,6 @@ def read_jsonl(path) -> CorpusBundle:
     splits: dict[str, list[Example]] = {"train": [], "dev": [], "test": []}
     factuals: dict[str, Example] = {}
     id_lines: dict[str, int] = {}  # example id -> its line
-    with_pair_id: set[str] = set()  # factual ids whose pair_id is set
     pairs: list[ExamplePair] = []
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -146,32 +139,20 @@ def read_jsonl(path) -> CorpusBundle:
         if split not in ("train", "dev", "test", "cf"):
             raise CorpusError(f"line {line_no}: unknown split {split!r}")
         try:
-            ex, pair_id = _parse_example(record, meta)
+            ex = _parse_example(record, meta)
             factual_id = twin_origin(ex.id)[0] if split == "cf" else None
             if ex.id in id_lines:
                 raise CorpusError(f"example id {ex.id!r} already appears on line {id_lines[ex.id]}")
             id_lines[ex.id] = line_no
             if factual_id is None:
-                if pair_id not in (None, ex.id):
-                    raise CorpusError(f"example {ex.id!r} has pair_id {pair_id!r}, neither null nor its id")
                 splits[split].append(ex)
                 factuals[ex.id] = ex
-                if pair_id is not None:
-                    with_pair_id.add(ex.id)
-                continue
-            if factual_id not in factuals:
+            elif factual_id in factuals:
+                pairs.append(ExamplePair(factual=factuals[factual_id], counterfactual=ex))
+            else:
                 raise CorpusError(f"counterfactual {ex.id!r} references unknown example {factual_id!r}")
-            if pair_id != factual_id or factual_id not in with_pair_id:
-                raise CorpusError(f"counterfactual {ex.id!r} (pair_id {pair_id!r}) and example "
-                                  f"{factual_id!r} must both have pair_id {factual_id!r}")
-            pairs.append(ExamplePair(factual=factuals[factual_id], counterfactual=ex))
-            pairs[-1].validate()
         except CorpusError as e:
             raise CorpusError(f"line {line_no}: {e}") from e
-    unpaired = [(id_lines[i], i) for i in with_pair_id - {p.factual.id for p in pairs}]
-    if unpaired:
-        line_no, factual_id = min(unpaired)
-        raise CorpusError(f"line {line_no}: example {factual_id!r} has a pair_id but no counterfactual")
     return CorpusBundle(train=splits["train"], dev=splits["dev"], test=splits["test"],
                         pairs=pairs, meta=meta)
 

@@ -38,14 +38,14 @@ class UndefinedCorrelationError(CorpusError):
 
 @dataclass(frozen=True)
 class TaggedToken:
-    """One surface token plus its generated ground-truth slot kind."""
+    """One non-empty lowercase surface token plus its generated ground-truth slot kind."""
 
     surface: str
     slot: str
 
     def __post_init__(self):
-        if not self.surface:
-            raise CorpusError("token surface must be non-empty")
+        if not self.surface or self.surface != self.surface.lower():
+            raise CorpusError(f"token surface {self.surface!r} is empty or not lowercase")
         if self.slot not in SLOT_KINDS:
             raise CorpusError(f"unknown slot kind {self.slot!r}")
 
@@ -95,23 +95,23 @@ class Example:
                 raise CorpusError(f"example {self.id}: concept {concept!r} not binary")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExamplePair:
-    """A factual example and its exact counterfactual twin for one concept."""
+    """A factual example and its exact counterfactual twin, with the same label, for one concept."""
 
     factual: Example
     counterfactual: Example
+
+    def __post_init__(self):
+        if twin_origin(self.counterfactual.id)[0] != self.factual.id:
+            raise CorpusError(f"pair for {self.factual.id}: {self.counterfactual.id!r} is not its twin")
+        if self.factual.label != self.counterfactual.label:
+            raise CorpusError(f"pair for {self.factual.id}: labels differ")
 
     @property
     def concept(self) -> str:
         """The concept the twin intervenes on, read off its id."""
         return twin_origin(self.counterfactual.id)[1]
-
-    def validate(self):
-        if twin_origin(self.counterfactual.id)[0] != self.factual.id:
-            raise CorpusError(f"pair for {self.factual.id}: {self.counterfactual.id!r} is not its twin")
-        if self.factual.label != self.counterfactual.label:
-            raise CorpusError(f"pair for {self.factual.id}: labels differ")
 
 
 def twin(factual: Example, concept: str, tokens: tuple[TaggedToken, ...],
@@ -220,8 +220,6 @@ class CorpusBundle:
                 if ex.id in seen:
                     raise CorpusError(f"example id {ex.id} appears in two splits")
                 seen.add(ex.id)
-        for pair in self.pairs:
-            pair.validate()
 
 
 def split_sizes(n: int) -> tuple[int, int, int]:

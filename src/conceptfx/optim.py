@@ -8,6 +8,9 @@ parameters, their gradients and the optimizer's moments and step count.
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
 from .autodiff import Tensor
@@ -28,10 +31,10 @@ class Adam:
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
-        if not (np.isfinite(lr) and lr > 0):
-            raise OptimError(f"learning rate must be finite and > 0, got {lr!r}")
+        if not (isinstance(lr, numbers.Real) and not isinstance(lr, bool) and math.isfinite(lr) and lr > 0):
+            raise OptimError(f"learning rate must be a finite real > 0, got {lr!r}")
         self.params = params
-        self.lr = lr
+        self.lr = float(lr)
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.t = 0

@@ -102,6 +102,10 @@ def fit_lda(docs, T: int, alpha: float | None = None, beta: float = 0.01,
             raise TopicError(f"need an integer {name} >= 0, got {value!r}")
     if isinstance(docs, str):
         raise TopicError("docs must be a sequence of token sequences, got a string")
+    docs = list(docs)
+    for d, doc in enumerate(docs):
+        if isinstance(doc, str):
+            raise TopicError(f"document {d} is a string, not a sequence of tokens")
     docs = [list(doc) for doc in docs]
     if doc_ids is None:
         doc_ids = [f"doc-{i}" for i in range(len(docs))]

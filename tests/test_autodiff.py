@@ -84,6 +84,16 @@ class TestPrimitiveValues:
         with pytest.raises(ad.ShapeError):
             ad.matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 3))))
 
+    @pytest.mark.parametrize("call, match", [
+        (lambda x: ad.transpose(x, (0, 0, 1)), r"transpose of \(2, 3, 4\) by axes \(0, 0, 1\)"),
+        (lambda x: ad.sum_axis(x, 3), r"sum_axis of \(2, 3, 4\) over axis 3"),
+        (lambda x: ad.concat(x, ad.Tensor(np.ones((3, 3, 4)))), r"concat of \(2, 3, 4\) and \(3, 3, 4\)"),
+    ], ids=["transpose", "sum_axis", "concat"])
+    def test_numpy_shape_failures_are_shape_errors(self, call, match):
+        # numpy's ValueError / AxisError used to escape from these ops.
+        with pytest.raises(ad.ShapeError, match=match):
+            call(ad.Tensor(np.ones((2, 3, 4))))
+
     def test_reshape_size_mismatch_is_a_shape_error(self):
         # numpy's ValueError used to escape, which encoder_forward does not map.
         with pytest.raises(ad.ShapeError, match=r"reshape of \(2, 6\)"):
@@ -160,7 +170,8 @@ class TestPrimitiveValues:
         c = ad.dropout(x, 0.5, r1)
         assert not np.array_equal(a.data, c.data)
 
-    @pytest.mark.parametrize("seed", [-1, 2 ** 128], ids=["negative", "2**128"])
+    @pytest.mark.parametrize("seed", [-1, 2 ** 128, 2.9, "5", True, None],
+                             ids=["negative", "2**128", "float", "string", "bool", "none"])
     def test_dropout_rng_rejects_a_seed_philox_cannot_key(self, seed):
         # Philox raised its own ValueError only at the first mask, deep in a forward pass.
         with pytest.raises(ad.AutodiffError, match="dropout seed"):

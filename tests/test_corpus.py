@@ -1,7 +1,7 @@
 """Corpus generation, bias injection, correlation, and JSONL round-trips."""
 
 import json
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conceptfx.corpus import (BiasSpec, BundleMeta, CorpusBundle, CorpusError,
-                              Example, TaggedToken, Template,
+                              Example, ExamplePair, TaggedToken, Template,
                               UndefinedCorrelationError, adjective_ratio,
                               apply_ratio_bias, default_lexicons,
                               delete_adjectives, flip_concept,
@@ -123,6 +123,18 @@ class TestPomsGeneration:
         test_ids = {ex.id for ex in bundle.test}
         assert by_concept["gender"] == test_ids
         assert by_concept["race"] == test_ids
+
+    def test_mismatched_pair_rejected_at_construction(self):
+        bundle = generate_poms_corpus(n=50, seed=2)
+        pair, other = bundle.pairs[0], bundle.pairs[-1]
+        assert other.factual.id != pair.factual.id
+        with pytest.raises(CorpusError, match="is not its twin"):
+            ExamplePair(factual=pair.factual, counterfactual=other.counterfactual)
+        relabelled = replace(pair.counterfactual, label=pair.factual.label + 1)
+        with pytest.raises(CorpusError, match="labels differ"):
+            ExamplePair(factual=pair.factual, counterfactual=relabelled)
+        with pytest.raises(FrozenInstanceError):
+            pair.counterfactual = other.counterfactual
 
     def test_small_lexicon_cell_rejected(self):
         lex = default_lexicons()
@@ -361,7 +373,7 @@ class TestJsonl:
         write_jsonl(bundle, path)
         lines = path.read_text().splitlines()
         assert len(lines) == 1
-        assert json.loads(lines[0])["schema_version"] == 1
+        assert json.loads(lines[0])["schema_version"] == 2
         assert read_jsonl(path) == bundle
 
     def test_roundtrip_deep_equality(self, tmp_path):

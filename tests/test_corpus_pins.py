@@ -6,28 +6,28 @@ import hashlib
 import pytest
 
 from conceptfx.corpus import (BiasSpec, CorpusError, generate_poms_corpus,
-                              generate_review_corpus, write_jsonl)
+                              generate_review_corpus, read_jsonl, write_jsonl)
 
 # sha256 of write_jsonl output at n=200, keyed "<corpus>/<bias version>/<seed>".
 PINNED = {
-    "poms-gender/balanced/0": "a7222333ee2729c3104e2a91752af84a284591a63d3ec2d82a33128bee31281f",
-    "poms-race/balanced/0": "22882a6b0da9350cffde98d03de733a98a3aea8c6d1cb9d33fa9740e7a0ce6e3",
-    "reviews/balanced/0": "1f77563d126c77ccf1562333c97952d8476cf11354c50c6d9d120eea0ee7aef0",
-    "poms-gender/gentle/0": "3d011d249ce6fd3e74ca0dfde871e47b7102e0888e8195227de17bf1a994627a",
-    "poms-race/gentle/0": "7755d9ba18b2ae3b061469e024285c000f007286257d282c6090293cf86380bb",
-    "reviews/gentle/0": "08e693227a670f594419f19d5b9191a24eb11d8835cc7c26a4e9726aaee68b8f",
-    "poms-gender/aggressive/0": "052cc7a5eb7fea2f376ba390e196b774a9717d61f0c73a7112868f396588324e",
-    "poms-race/aggressive/0": "91e9c60b2d82e181e74bdefb584f1b60b763474384efdcda3d1a61f8b0a96c5f",
-    "reviews/aggressive/0": "c441ead0f8aa7cc654900bc9921e2f8011d9e75fc6220642d48ac8fa0e875eaf",
-    "poms-gender/balanced/7": "148152109a6fd77531c30cdf0f2a5e77fb8f0d050f73bafe2a48034518c397fc",
-    "poms-race/balanced/7": "6789a47faca4ca14c4a0592c8fa1663c998776a7584195dfc0deb8bfc31e0775",
-    "reviews/balanced/7": "c350af9ea647165ffad44f28019907816feab928e86bc6e46986fdfd9c95add6",
-    "poms-gender/gentle/7": "48a782866b2bef2c9598622d572e6c9c7f331a03c9c101f098745b55684b27e6",
-    "poms-race/gentle/7": "7caca2a56de175faf783ece47a4ff1fb436633a997bc50680db5f4ae4f707fba",
-    "reviews/gentle/7": "5fc16079440a35d826752090778bc6aacf1f75c903dcc077d13d924f0794006a",
-    "poms-gender/aggressive/7": "9df0900129282e902ae95c3c797a722a1d0c5f62523174b55be674cc57b07431",
-    "poms-race/aggressive/7": "48ef97a19c199545b3303011abdb73f67f55a41e874abbcbdfc1574715c43091",
-    "reviews/aggressive/7": "87fde74f98d51ccdaf0f948696b216e09ad4fe7c069260be91486effd110fbce",
+    "poms-gender/balanced/0": "78288edba383b6e8ad50acb3995ee5d00a256dde84cf08e98aa2c633a2f0c82a",
+    "poms-race/balanced/0": "5f5c0a7da7c22babab66c9d2bfa3e467796566b8433c38382f5883e38187a591",
+    "reviews/balanced/0": "2a904e1a90586e82c69b26a084cd97a30383d4d5ebf4dffd3f25c92ed60d3f3a",
+    "poms-gender/gentle/0": "37fa6e1b1449da2b3a108da3e4e75eb111e6fd2acae4eb175ea19c3bc8f46b0b",
+    "poms-race/gentle/0": "d2d685e35eae21deeb070ebf28d4b8dc824f35a87a11b4cccaa6fb3739eb498a",
+    "reviews/gentle/0": "a623c15d951f908300035c4e7622e1982f1a2727fce719aa55973d560391d141",
+    "poms-gender/aggressive/0": "1a4117b3a7c37b5f82ad3f6c835fcd19f877522e07bf76a893ed0a6cfe8d059f",
+    "poms-race/aggressive/0": "e5de7e157a988d6347b438794784578079acc343630b393fcd730ba5bd6f54e1",
+    "reviews/aggressive/0": "f14aba5242e0203c17e9d45bd2b7fc3f8edb804ea421a97006edacaece862e41",
+    "poms-gender/balanced/7": "9dbec61a496a2865321924f06c2e015f319565e5c2b19e958193f787157fb1da",
+    "poms-race/balanced/7": "6de600894e5828ecb0dbec6bc595c5d34469225246baafe37466a51e09fef6f5",
+    "reviews/balanced/7": "44c08bebdb1f44eb8b57cd8c560b7efcdb6cdc844d66adb9c9fb3685145e02ca",
+    "poms-gender/gentle/7": "0505dc99507d7127e111bea7db0fe3cba9a8095567d965f651b93f15dd4d0f67",
+    "poms-race/gentle/7": "5e35478f9d424cfea57b71b8dc773f1c6f08b964f4f4c75eb65765f3e0c10e0d",
+    "reviews/gentle/7": "a489b9fa5efe32e1ce372ce771179b18449be9d39a8eb2ad2abe959c948ac1c3",
+    "poms-gender/aggressive/7": "7449b35665f200a46b8a052dcda4fce50ba83ad80bc452b038f7c3259574f833",
+    "poms-race/aggressive/7": "22fbdfccee765e712ef8af3e78ee29c7734e2022f9ae56bacdaf45d34865530e",
+    "reviews/aggressive/7": "a40c7075596f5153c8f39bf509b6f12ae9eed4b42b9c48b58ff8361e38544c06",
 }
 
 
@@ -41,9 +41,14 @@ def _generate(corpus: str, version: str, seed: int):
 @pytest.mark.parametrize("key", sorted(PINNED))
 def test_jsonl_bytes_pinned(key, tmp_path):
     corpus, version, seed = key.split("/")
-    path = tmp_path / "corpus.jsonl"
-    write_jsonl(_generate(corpus, version, int(seed)), path)
+    bundle = _generate(corpus, version, int(seed))
+    path, again = tmp_path / "corpus.jsonl", tmp_path / "again.jsonl"
+    write_jsonl(bundle, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED[key]
+    back = read_jsonl(path)
+    assert back == bundle
+    write_jsonl(back, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_example_fields_are_frozen():

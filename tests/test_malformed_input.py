@@ -48,6 +48,23 @@ def _unmarked_twin(lines):
     lines[-1] = json.dumps(record)
 
 
+def _schema_1(lines):
+    """The file as schema 1 wrote it: each record also names its pair."""
+    _header("schema_version", 1)(lines)
+    for i, line in enumerate(lines[1:], start=1):
+        record = json.loads(line)
+        factual_id = record["id"].partition("~cf~")[0]
+        record = {"id": record["id"], "pair_id": factual_id if record["split"] in ("test", "cf") else None,
+                  **record}
+        lines[i] = json.dumps(record)
+
+
+def _uppercase_surface(lines):
+    record = json.loads(lines[2])
+    record["tokens"][0]["t"] = record["tokens"][0]["t"].upper()
+    lines[2] = json.dumps(record)
+
+
 def _set(index, key, value):
     """Corrupter that sets ``key`` in the record on ``lines[index]``."""
     def corrupt(lines):
@@ -77,18 +94,15 @@ def _set(index, key, value):
     (_set(1, "label", 99), "line 2: example poms-000000: label 99 out of range"),
     (_set(1, "concepts", {"gender": 7, "race": 0}), "line 2: .*concept 'gender' not binary"),
     (_set(-1, "id", "poms-999999~cf~race"), "line 71: .*unknown example 'poms-999999'"),
-    (_set(-1, "pair_id", "poms-000048"), "line 71: .*pair_id 'poms-000048'"),
-    (_set(1, "pair_id", "zzz"), "line 2: .*pair_id 'zzz'"),
-    (_set(1, "pair_id", "poms-000000"), "line 2: .*has a pair_id but no counterfactual"),
-    (_set(50, "pair_id", None), "line 70: .*must both have pair_id 'poms-000049'"),
+    (_schema_1, "line 1: unsupported schema_version 1"),
+    (_uppercase_surface, "line 3: token surface '[A-Z]+' is empty or not lowercase"),
     (lambda lines: lines.insert(2, lines[1]), "line 3: .*'poms-000000' already appears on line 2"),
     (lambda lines: lines.append(lines[-1]), r"line 72: .*'poms-000049~cf~race' already appears on line 71"),
 ], ids=["no-seed", "string-provenance", "list-header", "string-label-names", "string-domains",
         "int-in-concepts", "string-seed", "bool-seed", "int-bias-version", "list-provenance",
         "list-record", "list-concepts",
         "list-id", "unmarked-twin", "label-99", "non-binary-concept", "unknown-factual",
-        "twin-pair-id", "factual-pair-id", "pair-id-without-twin", "twin-of-unpaired",
-        "repeated-factual", "repeated-twin"])
+        "schema-1", "uppercase-surface", "repeated-factual", "repeated-twin"])
 def test_read_jsonl_rejects_malformed_file(tmp_path, corrupt, match):
     path = tmp_path / "corpus.jsonl"
     write_jsonl(generate_poms_corpus(n=50, seed=8), path)

@@ -5,6 +5,7 @@ import json
 import os
 import struct
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -86,10 +87,14 @@ class TestAdam:
         np.testing.assert_array_equal(w.data, np.ones(3))
         assert (opt.t, opt.m, opt.v) == (0, {}, {})
 
-    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1e-3])
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1e-3, "x", None, True, np.float32("inf")])
     def test_bad_learning_rate_rejected(self, lr):
         with pytest.raises(OptimError, match="learning rate"):
             Adam({"x": Tensor(np.zeros(2), requires_grad=True)}, lr=lr)
+
+    def test_real_learning_rate_steps_as_its_float(self):
+        # A Fraction passed the old finite check, then step failed with numpy's UFuncTypeError.
+        np.testing.assert_array_equal(_adam_run([1.0], lr=Fraction(1, 1000)), _adam_run([1.0], lr=1e-3))
 
     def test_wrapper_reads_tensor_grads(self):
         p = Tensor(np.zeros(3), requires_grad=True)
@@ -101,14 +106,31 @@ class TestAdam:
         assert p.grad is None
 
 
+SAVED_ARRAYS = {"enc.w": np.arange(6, dtype=np.float32).reshape(2, 3) / 7,
+                "enc.b": np.array([0.5, -2.0])}
+SAVED_CONFIG = {"dim": 64, "name": "enc"}
+
+
 @functools.cache
 def saved_checkpoint() -> bytes:
-    """The bytes of a small two-dtype checkpoint."""
-    arrays = {"enc.w": np.arange(6, dtype=np.float32).reshape(2, 3) / 7,
-              "enc.b": np.array([0.5, -2.0])}
+    """The bytes of a small two-dtype checkpoint of ``SAVED_ARRAYS`` and ``SAVED_CONFIG``."""
     with tempfile.TemporaryDirectory() as d:
-        save_checkpoint(Path(d) / "ck.bin", arrays, {"dim": 3})
+        save_checkpoint(Path(d) / "ck.bin", SAVED_ARRAYS, SAVED_CONFIG)
         return (Path(d) / "ck.bin").read_bytes()
+
+
+def load_bytes(raw: bytes):
+    """``load_checkpoint`` of a file holding ``raw``."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "ck.bin"
+        path.write_bytes(raw)
+        return load_checkpoint(path)
+
+
+def flip(raw: bytes, bit: int) -> bytes:
+    damaged = bytearray(raw)
+    damaged[bit // 8] ^= 1 << bit % 8
+    return bytes(damaged)
 
 
 class TestCheckpoint:
@@ -118,6 +140,7 @@ class TestCheckpoint:
             "enc.w": rng.standard_normal((5, 3)).astype(np.float32),
             "enc.b": rng.standard_normal(3),
             "head.w": rng.standard_normal((3, 2)).astype(np.float32),
+            "step": np.float32(3.5),  # np.ascontiguousarray made a 0-d array (1,) on save
         }
         config = {"dim": 3, "note": "x"}
         path = tmp_path / "ck.bin"
@@ -127,6 +150,7 @@ class TestCheckpoint:
         assert set(loaded) == set(arrays)
         for name in arrays:
             assert loaded[name].dtype == arrays[name].dtype
+            assert loaded[name].shape == np.shape(arrays[name])
             assert loaded[name].tobytes() == arrays[name].tobytes()
 
     def test_same_content_same_bytes(self, tmp_path):
@@ -159,22 +183,32 @@ class TestCheckpoint:
     @settings(max_examples=150, deadline=None)
     @given(kind=st.sampled_from(["flip", "truncate", "append"]), data=st.data())
     def test_damaged_file_rejected(self, kind, data):
-        # A flipped blob bit and appended bytes used to load silently.
+        # A flipped bit in the blob or in the config block, and appended bytes, used to load silently.
         raw = saved_checkpoint()
-        blob_start = 8 + struct.unpack("<Q", raw[:8])[0]
         if kind == "flip":
-            bit = data.draw(st.integers(0, 8 * (len(raw) - blob_start) - 1))
-            damaged = bytearray(raw)
-            damaged[blob_start + bit // 8] ^= 1 << bit % 8
-        elif kind == "truncate":
+            try:
+                arrays, config = load_bytes(flip(raw, data.draw(st.integers(0, 8 * len(raw) - 1))))
+            except CheckpointError:
+                return
+            assert config == SAVED_CONFIG
+            assert {k: (v.dtype, v.shape, v.tobytes()) for k, v in arrays.items()} == \
+                {k: (v.dtype, v.shape, v.tobytes()) for k, v in SAVED_ARRAYS.items()}
+            return
+        if kind == "truncate":
             damaged = raw[:data.draw(st.integers(0, len(raw) - 1))]
         else:
             damaged = raw + data.draw(st.binary(min_size=1, max_size=16))
-        with tempfile.TemporaryDirectory() as d:
-            path = Path(d) / "ck.bin"
-            path.write_bytes(bytes(damaged))
+        with pytest.raises(CheckpointError):
+            load_bytes(damaged)
+
+    def test_every_config_bit_flip_rejected(self):
+        # {"dim": 64} with one bit of the 6 flipped used to load as {"dim": 44}.
+        raw = saved_checkpoint()
+        block = json.dumps(SAVED_CONFIG, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        start = raw.index(block)
+        for bit in range(8 * start, 8 * (start + len(block))):
             with pytest.raises(CheckpointError):
-                load_checkpoint(path)
+                load_bytes(flip(raw, bit))
 
     @pytest.mark.parametrize("digest", [None, "0" * 64])
     def test_missing_or_wrong_digest_rejected(self, tmp_path, digest):
@@ -195,3 +229,4 @@ class TestCheckpoint:
         b = {"w": np.array([1.0, 2.0000002], dtype=np.float32)}
         assert checkpoint_hash(a) != checkpoint_hash(b)
         assert checkpoint_hash(a) == checkpoint_hash({"w": a["w"].copy()})
+        assert checkpoint_hash({"w": np.float32(1.0)}) != checkpoint_hash({"w": a["w"][:1]})

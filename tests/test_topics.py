@@ -106,6 +106,7 @@ class TestFitLda:
         ("ab", {"T": 2}, "got a string"),
         ([["a", ["b"]]], {"T": 2}, "hashable and sortable.*unhashable"),
         ([[1, "a"]], {"T": 2}, "hashable and sortable.*not supported"),
+        (["the cat", "a dog"], {"T": 2}, "document 0 is a string"),
     ])
     def test_typed_errors(self, docs, kwargs, match):
         with warnings.catch_warnings():
