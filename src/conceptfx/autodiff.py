@@ -12,10 +12,11 @@ pass multiplies the upstream gradient by a negative scalar.  Ops take
 A ``Tape`` records primitive applications in execution order; reversed
 execution order is a valid topological order, so ``Tape.backward`` visits each
 node exactly once and accumulates gradients additively on fan-out.  It raises
-``AutodiffError`` for a loss it did not record.  Each thread keeps its own
-stack of entered tapes, so a tape records only its own thread's ops, and
-distinct tapes may run in parallel threads.  Every op checks its output for
-NaN/Inf and raises ``NonFiniteError`` on detection.
+``AutodiffError`` for a loss it did not record.  A thread has one recording
+tape at most (entering a second raises ``AutodiffError``), and it takes only
+that thread's ops.  Each backward returns one gradient per input, and
+``Tape.backward`` alone drops those of inputs without ``requires_grad``.  Every
+op checks its output for NaN/Inf and raises ``NonFiniteError`` on detection.
 
 Kernels allocate their output and, only when a tape records the op, what their
 backward multiplies by; ``_recording`` is the one test of that, shared with
@@ -93,34 +94,27 @@ class Tensor:
 _Node = collections.namedtuple("_Node", "out inputs backward_fn op")
 
 
-class _ActiveTapes(threading.local):
-    """The stack of entered tapes, one per thread."""
-
-    def __init__(self):
-        self.stack: list[Tape] = []
-
-
-_ACTIVE_TAPES = _ActiveTapes()
+_RECORDING = threading.local()  # .tape: the tape recording in this thread, if any
 
 
 class Tape:
     """Ordered record of primitive applications for one backward pass.
 
     Use as a context manager around the forward computation; outside any
-    active tape, ops run forward-only (evaluation mode).
+    active tape, ops run forward-only (evaluation mode).  Tapes do not nest.
     """
 
     def __init__(self):
         self._nodes: list[_Node] = []
 
     def __enter__(self):
-        _ACTIVE_TAPES.stack.append(self)
+        if getattr(_RECORDING, "tape", None) is not None:
+            raise AutodiffError("a tape is already recording in this thread; tapes do not nest")
+        _RECORDING.tape = self
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _ACTIVE_TAPES.stack.pop()
-        assert popped is self
-        return False
+        _RECORDING.tape = None
 
     def __len__(self):
         return len(self._nodes)
@@ -136,7 +130,8 @@ class Tape:
         node's output was recorded after it, so its gradient is complete when
         the node is reached and is popped there; what remains belongs to
         leaves, whose ``.grad`` is assigned (previous contents are replaced).
-        A loss this tape did not record raises ``AutodiffError``.
+        Only here are the gradients of inputs without ``requires_grad``
+        dropped.  A loss this tape did not record raises ``AutodiffError``.
         """
         if loss.data.size != 1:
             raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -146,7 +141,7 @@ class Tape:
             if g is None:
                 continue
             for inp, gi in zip(node.inputs, node.backward_fn(g)):
-                if gi is not None and inp.requires_grad:
+                if inp.requires_grad:
                     acc = pending.get(inp)
                     pending[inp] = gi if acc is None else acc + gi
         if loss in pending:
@@ -157,7 +152,7 @@ class Tape:
 
 def _recording(*inputs: Tensor) -> bool:
     """Whether an op on ``inputs`` is taped: a tape is active and an input needs a gradient."""
-    return bool(_ACTIVE_TAPES.stack) and any(t.requires_grad for t in inputs)
+    return getattr(_RECORDING, "tape", None) is not None and any(t.requires_grad for t in inputs)
 
 
 def _check_finite(data, op):
@@ -167,10 +162,10 @@ def _check_finite(data, op):
 
 def _make(op, out_data, inputs, backward_fn) -> Tensor:
     _check_finite(out_data, op)
-    requires = _recording(*inputs)
-    out = Tensor(out_data, requires_grad=requires)
-    if requires:
-        _ACTIVE_TAPES.stack[-1]._record(out, inputs, backward_fn, op)
+    taped = _recording(*inputs)
+    out = Tensor(out_data, requires_grad=taped)
+    if taped:
+        _RECORDING.tape._record(out, inputs, backward_fn, op)
     return out
 
 
@@ -216,17 +211,12 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         out += bias.data
 
     def backward(g):
-        ga = gb = gbias = None
-        if bias is not None and bias.requires_grad:
-            gbias = _unbroadcast(g, bias.shape)
-        if a.requires_grad:
-            ga = g @ np.swapaxes(b.data, -1, -2)
-        if b.requires_grad:
-            if b.ndim == 2:
-                gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-            else:
-                gb = np.swapaxes(a.data, -1, -2) @ g
-        return ga, gb, gbias
+        ga = g @ np.swapaxes(b.data, -1, -2)
+        if b.ndim == 2:
+            gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        else:
+            gb = np.swapaxes(a.data, -1, -2) @ g
+        return (ga, gb) if bias is None else (ga, gb, _unbroadcast(g, bias.shape))
 
     return _make("matmul", out, (a, b) if bias is None else (a, b, bias), backward)
 
@@ -239,10 +229,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
     def backward(g):
-        return (
-            _unbroadcast(g, a.shape) if a.requires_grad else None,
-            _unbroadcast(g, b.shape) if b.requires_grad else None,
-        )
+        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
     return _make("add", out, (a, b), backward)
 
@@ -255,10 +242,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
 
     def backward(g):
-        return (
-            _unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
-            _unbroadcast(g * a.data, b.shape) if b.requires_grad else None,
-        )
+        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
     return _make("mul", out, (a, b), backward)
 
@@ -333,23 +317,19 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         ob += bias.data
 
     def backward(g):
-        gx = ggain = gbias = None
         lead = tuple(range(g.ndim - 1))
         xhat = xhat_rows.reshape(g.shape)
-        if gain.requires_grad:
-            ggain = (g * xhat).sum(axis=lead)
-        if bias.requires_grad:
-            gbias = g.sum(axis=lead)
-        if x.requires_grad:
-            # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), built in gx
-            gx = g * gain.data
-            m1 = gx.mean(axis=-1, keepdims=True)
-            prod = gx * xhat
-            m2 = prod.mean(axis=-1, keepdims=True)
-            np.multiply(xhat, m2, out=prod)
-            gx -= m1
-            gx -= prod
-            gx *= inv.reshape(m2.shape)
+        ggain = (g * xhat).sum(axis=lead)
+        gbias = g.sum(axis=lead)  # both before gx, so their temporaries are gone when it is built
+        # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), built in gx
+        gx = g * gain.data
+        m1 = gx.mean(axis=-1, keepdims=True)
+        prod = gx * xhat
+        m2 = prod.mean(axis=-1, keepdims=True)
+        np.multiply(xhat, m2, out=prod)
+        gx -= m1
+        gx -= prod
+        gx *= inv.reshape(m2.shape)
         return gx, ggain, gbias
 
     return _make("layer_norm", out, (x, gain, bias), backward)
@@ -605,11 +585,7 @@ def concat(a: Tensor, b: Tensor) -> Tensor:
     split = a.shape[-1]
 
     def backward(g):
-        ga, gb = np.split(g, [split], axis=-1)
-        return (
-            ga if a.requires_grad else None,
-            gb if b.requires_grad else None,
-        )
+        return tuple(np.split(g, [split], axis=-1))
 
     return _make("concat", out, (a, b), backward)
 

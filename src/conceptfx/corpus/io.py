@@ -122,8 +122,7 @@ def read_jsonl(path) -> CorpusBundle:
     if header.get("schema_version") != SCHEMA_VERSION:
         raise CorpusError(f"line 1: unsupported schema_version {header.get('schema_version')!r}")
     meta = _parse_header(header)
-    splits: dict[str, list[Example]] = {"train": [], "dev": [], "test": []}
-    factuals: dict[str, Example] = {}
+    splits: dict[str, dict[str, Example]] = {"train": {}, "dev": {}, "test": {}}  # split -> id -> example
     id_lines: dict[str, int] = {}  # example id -> its line
     pairs: list[ExamplePair] = []
     for line_no, line in enumerate(lines[1:], start=2):
@@ -140,20 +139,23 @@ def read_jsonl(path) -> CorpusBundle:
             raise CorpusError(f"line {line_no}: unknown split {split!r}")
         try:
             ex = _parse_example(record, meta)
-            factual_id = twin_origin(ex.id)[0] if split == "cf" else None
+            factual_id, concept = twin_origin(ex.id) if split == "cf" else (None, None)
             if ex.id in id_lines:
                 raise CorpusError(f"example id {ex.id!r} already appears on line {id_lines[ex.id]}")
             id_lines[ex.id] = line_no
             if factual_id is None:
-                splits[split].append(ex)
-                factuals[ex.id] = ex
-            elif factual_id in factuals:
-                pairs.append(ExamplePair(factual=factuals[factual_id], counterfactual=ex))
-            else:
+                splits[split][ex.id] = ex
+            elif concept not in meta.concepts:
+                raise CorpusError(f"counterfactual {ex.id!r}: {concept!r} is not a header concept {meta.concepts}")
+            elif factual_id not in id_lines:
                 raise CorpusError(f"counterfactual {ex.id!r} references unknown example {factual_id!r}")
+            elif factual_id not in splits["test"]:
+                raise CorpusError(f"counterfactual {ex.id!r} twins line {id_lines[factual_id]}, not a test example")
+            else:
+                pairs.append(ExamplePair(factual=splits["test"][factual_id], counterfactual=ex))
         except CorpusError as e:
             raise CorpusError(f"line {line_no}: {e}") from e
-    return CorpusBundle(train=splits["train"], dev=splits["dev"], test=splits["test"],
+    return CorpusBundle(**{split: list(examples.values()) for split, examples in splits.items()},
                         pairs=pairs, meta=meta)
 
 

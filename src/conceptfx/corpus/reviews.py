@@ -112,12 +112,15 @@ def apply_ratio_bias(bundle: CorpusBundle, version: str) -> CorpusBundle:
     negative-label examples; aggressive additionally deletes the
     bottom-half-by-ratio positive-label examples ("half" rounds down).  Each
     split is filtered independently; pairs whose factual member was deleted
-    are dropped.
+    are dropped.  A bundle already biased takes ``balanced`` only: a second
+    deletion would compound the first under the new version's name.
     """
     if version not in BIAS_VERSIONS:
         raise CorpusError(f"unknown bias version {version!r}")
     if version == "balanced":
         return bundle
+    if bundle.meta.bias_version != "balanced":
+        raise CorpusError(f"bundle is already {bundle.meta.bias_version}; only a balanced one can become {version}")
     train = _filter_split(bundle.train, version, "train")
     dev = _filter_split(bundle.dev, version, "dev")
     test = _filter_split(bundle.test, version, "test")
@@ -193,7 +196,7 @@ def generate_review_corpus(grammar: ReviewGrammar | None = None,
     ]
     meta = BundleMeta(
         seed=seed,
-        bias_version=bias.version,
+        bias_version="balanced",  # until apply_ratio_bias deletes to bias.version
         concepts=["adjectives"],
         label_names=list(REVIEW_LABELS),
         domains=list(DEFAULT_DOMAINS),

@@ -9,6 +9,7 @@ control heads never are.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,9 +39,10 @@ class HeadSet:
                 adversarial: bool = False, grl_lambda: float = 1.0):
         if name in self.heads:
             raise HeadError(f"duplicate head {name!r}")
-        if in_dim < 1 or classes < 1:
-            raise HeadError(f"head {name!r} needs in_dim >= 1 and classes >= 1, "
-                            f"got {in_dim} and {classes}")
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1
+                   for v in (in_dim, classes)):
+            raise HeadError(f"head {name!r} needs integer in_dim >= 1 and classes >= 1, "
+                            f"got {in_dim!r} and {classes!r}")
         rng = np.random.default_rng(np.random.SeedSequence((seed, 202, len(self.heads))))
         self.params[f"head.{name}.w"] = ad.Tensor(
             rng.normal(0.0, 0.02, size=(in_dim, classes)), requires_grad=True, dtype=dtype)

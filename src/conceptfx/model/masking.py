@@ -8,6 +8,7 @@ become a random non-special token.  Plans are deterministic functions of
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,8 @@ def _assign_actions(rng: np.random.Generator, positions: np.ndarray, ids: np.nda
 
 def mlm_mask(ids: np.ndarray, vocab: Vocab, rate: float = 0.15, seed: int = 0) -> MaskingPlan:
     """Select each non-special position independently with probability ``rate``."""
+    if not (isinstance(rate, numbers.Real) and not isinstance(rate, bool) and 0.0 <= rate <= 1.0):
+        raise MaskingError(f"rate must be a real number in [0, 1], got {rate!r}")
     ids = np.asarray(ids)
     eligible = (ids != PAD_ID) & (ids != CLS_ID)
     if not eligible.any():

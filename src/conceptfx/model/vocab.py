@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,12 +44,18 @@ def build_vocab(corpus) -> Vocab:
     return Vocab(list(SPECIAL_TOKENS) + sorted(seen))
 
 
+def _check_max_len(max_len) -> None:
+    if not isinstance(max_len, numbers.Integral) or isinstance(max_len, bool) or max_len < 1:
+        raise VocabError(f"max_len must be an integer >= 1 (room for CLS), got {max_len!r}")
+
+
 def encode(tokens, vocab: Vocab, max_len: int) -> tuple[np.ndarray, bool]:
     """Encode surfaces as ``[CLS, t1, ..., PAD...]``; returns (ids, truncated).
 
     Sequences longer than ``max_len - 1`` lose their tail; callers should
     count truncations.  Out-of-vocabulary tokens map to UNK.
     """
+    _check_max_len(max_len)
     surfaces = [t.surface if hasattr(t, "surface") else t for t in tokens]
     truncated = len(surfaces) > max_len - 1
     ids = np.full(max_len, PAD_ID, dtype=np.int64)
@@ -60,6 +67,7 @@ def encode(tokens, vocab: Vocab, max_len: int) -> tuple[np.ndarray, bool]:
 
 def encode_batch(examples, vocab: Vocab, max_len: int) -> tuple[np.ndarray, int]:
     """Encode a list of examples; returns (ids[B, L], truncation count)."""
+    _check_max_len(max_len)
     ids = np.empty((len(examples), max_len), dtype=np.int64)
     truncations = 0
     for i, ex in enumerate(examples):

@@ -512,6 +512,22 @@ class TestNoAliasing:
         assert g.tobytes() == g_before
         assert [t.data.tobytes() for t in operands] == before
 
+    @pytest.mark.parametrize("name", sorted({**_EVERY_OP, **_OP_VARIANTS}))
+    def test_one_gradient_per_operand_when_one_is_constant(self, name):
+        # Tape.backward alone drops the gradients of constants, so a backward
+        # returns one for every operand, shaped like it.  An op with one operand
+        # is taped only when that operand needs a gradient.
+        op, shapes = {**_EVERY_OP, **_OP_VARIANTS}[name]
+        rng = np.random.default_rng(4)
+        for constant in range(len(shapes)) if len(shapes) > 1 else [None]:
+            operands = [_param(rng, shape) for shape in shapes]
+            if constant is not None:
+                operands[constant].requires_grad = False
+            with ad.Tape() as tape:
+                out = op(*operands)
+            grads = tape._nodes[-1].backward_fn(rng.standard_normal(out.shape))
+            assert [np.shape(gi) for gi in grads] == [t.shape for t in operands]
+
 
 class TestStage2Gradients:
     """Finite differences through the encoder, a masked-position MLM loss and a control head."""
@@ -655,6 +671,33 @@ class TestTape:
         assert {name: n for name, (n, _) in results.items()} == {"a": 2, "b": 2}
         np.testing.assert_array_equal(results["a"][1], np.full(3, 2.0))
         np.testing.assert_array_equal(results["b"][1], np.full(3, 4.0))
+
+    def test_nested_tape_rejected_and_outer_gradients_kept(self):
+        # A nested tape took z's node from the outer one, whose backward then left
+        # p.grad None and put a .grad on the non-leaf z.
+        x = ad.Tensor(np.array([[3.0]]))
+        p = ad.Tensor(np.array([[2.0]]), requires_grad=True)
+        with ad.Tape() as outer:
+            y = ad.matmul(x, p)
+            with pytest.raises(ad.AutodiffError, match="already recording"):
+                with ad.Tape():
+                    pass
+            z = ad.scale(y, 5)
+        outer.backward(z)
+        np.testing.assert_array_equal(p.grad, [[15.0]])
+        assert z.grad is None and len(outer) == 2
+
+    def test_block_that_raises_leaves_no_tape_recording(self):
+        w = ad.Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(ad.ShapeError):
+            with ad.Tape():
+                ad.add(w, ad.Tensor(np.ones(4)))
+        assert ad.mul(w, w).requires_grad is False
+        with ad.Tape() as tape:
+            loss = ad.sum_axis(ad.mul(w, w), 0)
+        tape.backward(loss)
+        assert len(tape) == 2
+        np.testing.assert_array_equal(w.grad, np.full(3, 2.0))
 
     def test_backward_needs_scalar(self):
         x = ad.Tensor(np.ones(3), requires_grad=True)

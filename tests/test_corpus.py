@@ -336,6 +336,16 @@ class TestRatioBias:
         with pytest.raises(CorpusError, match="stratum"):
             apply_ratio_bias(bundle, "gentle")
 
+    @pytest.mark.parametrize("before", ["gentle", "aggressive"])
+    @pytest.mark.parametrize("after", ["gentle", "aggressive"])
+    def test_biased_bundle_is_not_biased_again(self, before, after):
+        # An aggressive bundle asked for gentle came back 752 examples labelled
+        # gentle, where a gentle corpus of the same n has 1499.
+        bundle = apply_ratio_bias(self._toy_bundle([0.4, 0.3], [0.2, 0.1])[0], before)
+        with pytest.raises(CorpusError, match=f"already {before}; only a balanced one can become {after}"):
+            apply_ratio_bias(bundle, after)
+        assert apply_ratio_bias(bundle, "balanced") is bundle
+
 
 def with_gender(bundle, gender):
     """The bundle with each example's gender concept set to ``gender(example)``."""

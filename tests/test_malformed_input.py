@@ -65,6 +65,14 @@ def _uppercase_surface(lines):
     lines[2] = json.dumps(record)
 
 
+def _twin_of_train_row(lines):
+    """The last twin renamed as a twin of the first train row, with that row's label."""
+    record = json.loads(lines[-1])
+    record["id"] = "poms-000000~cf~race"
+    record["label"] = json.loads(lines[1])["label"]
+    lines[-1] = json.dumps(record)
+
+
 def _set(index, key, value):
     """Corrupter that sets ``key`` in the record on ``lines[index]``."""
     def corrupt(lines):
@@ -98,11 +106,14 @@ def _set(index, key, value):
     (_uppercase_surface, "line 3: token surface '[A-Z]+' is empty or not lowercase"),
     (lambda lines: lines.insert(2, lines[1]), "line 3: .*'poms-000000' already appears on line 2"),
     (lambda lines: lines.append(lines[-1]), r"line 72: .*'poms-000049~cf~race' already appears on line 71"),
+    (_set(-1, "id", "poms-000049~cf~weather"), "line 71: .*'weather' is not a header concept"),
+    (_twin_of_train_row, "line 71: .*twins line 2, not a test example"),
 ], ids=["no-seed", "string-provenance", "list-header", "string-label-names", "string-domains",
         "int-in-concepts", "string-seed", "bool-seed", "int-bias-version", "list-provenance",
         "list-record", "list-concepts",
         "list-id", "unmarked-twin", "label-99", "non-binary-concept", "unknown-factual",
-        "schema-1", "uppercase-surface", "repeated-factual", "repeated-twin"])
+        "schema-1", "uppercase-surface", "repeated-factual", "repeated-twin",
+        "twin-of-unknown-concept", "twin-of-train-row"])
 def test_read_jsonl_rejects_malformed_file(tmp_path, corrupt, match):
     path = tmp_path / "corpus.jsonl"
     write_jsonl(generate_poms_corpus(n=50, seed=8), path)

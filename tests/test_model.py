@@ -38,6 +38,19 @@ class TestVocab:
         ids, truncated = encode(["alpha"] * 10, vocab, max_len=4)
         assert truncated and len(ids) == 4
 
+    @pytest.mark.parametrize("call", [
+        lambda vocab: encode_batch([_adjective_example(1, 1)], vocab, max_len=0),
+        lambda vocab: encode_batch([], vocab, max_len=-3),
+        lambda vocab: encode(["alpha"], vocab, max_len=-3),
+        lambda vocab: encode(["alpha"], vocab, max_len=4.0),
+        lambda vocab: encode(["alpha"], vocab, max_len=True),
+    ], ids=["batch-zero", "empty-batch-negative", "negative", "float", "bool"])
+    def test_max_len_must_be_a_positive_integer(self, call):
+        # max_len=0 leaked IndexError, a negative one numpy's ValueError.
+        from conceptfx.model.vocab import VocabError
+        with pytest.raises(VocabError, match="max_len must be an integer >= 1"):
+            call(_toy_vocab())
+
     def test_vocab_covers_train_lexicon_words(self):
         bundle = generate_poms_corpus(n=600, seed=3)
         vocab = build_vocab(bundle)
@@ -104,6 +117,14 @@ class TestMlmMask:
                 assert rep == ids[pos]
             else:
                 assert rep >= 4
+
+    @pytest.mark.parametrize("rate", ["x", float("nan"), -0.1, 1.5, True, None])
+    def test_rate_must_be_a_real_in_unit_interval(self, rate):
+        # "x" leaked numpy's UFuncTypeError, and NaN masked nothing.
+        vocab = _toy_vocab()
+        ids, _ = encode(["alpha", "beta"], vocab, max_len=6)
+        with pytest.raises(MaskingError, match="rate must be a real number in"):
+            mlm_mask(ids, vocab, rate=rate, seed=0)
 
     def test_no_maskable_positions_errors(self):
         vocab = _toy_vocab()
@@ -356,6 +377,16 @@ class TestHeads:
         from conceptfx.model.heads import HeadError
         heads = HeadSet()
         with pytest.raises(HeadError, match="'h'"):
+            heads.add_seq("h", in_dim=in_dim, classes=classes, seed=0)
+        assert heads.heads == {} and heads.params == {}
+
+    @pytest.mark.parametrize("in_dim, classes", [(2.5, 2), (6, 2.0), (True, 2), ("6", 2)],
+                             ids=["float-in-dim", "float-classes", "bool-in-dim", "string-in-dim"])
+    def test_non_integer_head_size_rejected(self, in_dim, classes):
+        # HeadSet().add_seq("t", 2.5, 2, 0) leaked TypeError from rng.normal.
+        from conceptfx.model.heads import HeadError
+        heads = HeadSet()
+        with pytest.raises(HeadError, match="needs integer in_dim"):
             heads.add_seq("h", in_dim=in_dim, classes=classes, seed=0)
         assert heads.heads == {} and heads.params == {}
 
