@@ -80,7 +80,14 @@ def _parse_example(record: dict, meta: BundleMeta) -> Example:
         )
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise CorpusError(f"malformed example record: {e!r}") from e
-    ex.validate(len(meta.label_names), None, tuple(meta.concepts))
+    if not 0 <= ex.label < len(meta.label_names):
+        raise CorpusError(f"example {ex.id}: label {ex.label} out of range")
+    for concept in meta.concepts:
+        if concept not in ex.concepts:
+            raise CorpusError(f"example {ex.id}: missing concept {concept!r}")
+    for concept, value in ex.concepts.items():
+        if value not in (0, 1):
+            raise CorpusError(f"example {ex.id}: concept {concept!r} not binary")
     return ex
 
 

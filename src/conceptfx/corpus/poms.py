@@ -21,7 +21,7 @@ import numpy as np
 
 from .io import load_data
 from .types import (BiasSpec, BundleMeta, CorpusBundle, CorpusError, Example,
-                    TaggedToken, Template, assemble, load_templates, twin)
+                    TaggedToken, Template, assemble, check_integer, load_templates, twin)
 
 POMS_LABELS = ("anger", "sadness", "fear", "joy")
 _CONCEPTS = ("gender", "race")
@@ -183,6 +183,7 @@ def flip_concept(example: Example, concept: str, lexicons: PomsLexicons, seed: i
     """
     if concept not in _CONCEPTS:
         raise CorpusError(f"cannot flip concept {concept!r}")
+    check_integer(seed, "seed")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 2, _CONCEPTS.index(concept) + 1)))
     concepts = {**example.concepts, concept: 1 - example.concepts[concept]}
     cell = lexicons.name_cell(concepts)
@@ -218,6 +219,8 @@ def generate_poms_corpus(templates: list[Template] | None = None,
         raise CorpusError("template list must be non-empty")
     if bias.concept not in _CONCEPTS:
         raise CorpusError(f"unsupported bias concept {bias.concept!r} for a mood-state corpus")
+    check_integer(seed, "seed")
+    check_integer(n, "n")
     if n < len(POMS_LABELS):
         raise CorpusError(
             f"bias probabilities infeasible for n={n}: need at least one example per label "

@@ -16,7 +16,7 @@ import numpy as np
 
 from .io import load_data
 from .types import (BIAS_VERSIONS, BiasSpec, BundleMeta, CorpusBundle, CorpusError,
-                    Example, TaggedToken, Template, assemble, load_templates, twin)
+                    Example, TaggedToken, Template, assemble, check_integer, load_templates, twin)
 
 REVIEW_LABELS = ("negative", "positive")
 DEFAULT_DOMAINS = ("books", "dvd", "electronics", "kitchen", "movies")
@@ -44,7 +44,7 @@ class ReviewGrammar:
         if len(planted) < 2:
             raise CorpusError("grammar must plant topic words for at least 2 domains")
         if not 0.0 <= self.topic_word_rate <= 1.0:
-            raise CorpusError(f"topic word rate out of range: {self.topic_word_rate}")
+            raise CorpusError(f"topic word rate must be in [0, 1], got {self.topic_word_rate}")
         # A <topic> slot takes a generic noun at rate 1 - topic_word_rate, and always
         # in a domain without topic words.
         falls_back = self.topic_word_rate < 1.0 or len(planted) < len(DEFAULT_DOMAINS)
@@ -179,8 +179,8 @@ def generate_review_corpus(grammar: ReviewGrammar | None = None,
     if bias.concept != "adjectives":
         raise CorpusError(f"review corpora take an adjectives bias, got one for {bias.concept!r}")
     grammar.validate()
-    if n < 2:
-        raise CorpusError(f"cannot build a review corpus with n={n}")
+    check_integer(seed, "seed")
+    check_integer(n, "n", low=2)
 
     weights = np.array([f.weight for f in grammar.frames], dtype=float)
     frame_probs = weights / weights.sum()

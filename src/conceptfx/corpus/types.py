@@ -2,13 +2,14 @@
 
 Bundles are generated as pure functions of (config, seed) and are treated as
 immutable once built; they are safe to share across threads, and shards with
-disjoint sub-seeds can be generated in parallel.  ``assemble`` owns the
-64/16/20 split and pairs test examples with their twins; ``CorpusBundle.pairs``
-is the only record of a pair.
+disjoint sub-seeds can be generated in parallel.  ``assemble`` owns the 64/16/20
+split and the ``MAX_TOKENS`` cap, and records test examples' twins only in
+``CorpusBundle.pairs``; the reader, ``io.read_jsonl``, checks records against their header.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
@@ -26,6 +27,7 @@ SLOT_KINDS = (
 )
 
 SPLIT_FRACTIONS = (0.64, 0.16, 0.20)
+MAX_TOKENS = 31  # the encoder's default max_len of 32, less CLS
 
 
 class CorpusError(Exception):
@@ -34,6 +36,12 @@ class CorpusError(Exception):
 
 class UndefinedCorrelationError(CorpusError):
     """Concept or label has zero variance, so correlation is undefined."""
+
+
+def check_integer(value, name: str, low: int = 0) -> None:
+    """Raise ``CorpusError`` unless ``value`` is an integer >= ``low``; a ``bool`` is not one."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
+        raise CorpusError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -80,19 +88,6 @@ class Example:
 
     def __post_init__(self):
         object.__setattr__(self, "concepts", MappingProxyType(dict(self.concepts)))
-
-    def validate(self, n_labels: int, max_tokens: int | None = None,
-                 required_concepts: tuple[str, ...] = ()):
-        if not 0 <= self.label < n_labels:
-            raise CorpusError(f"example {self.id}: label {self.label} out of range")
-        if max_tokens is not None and len(self.tokens) > max_tokens:
-            raise CorpusError(f"example {self.id}: {len(self.tokens)} tokens exceeds {max_tokens}")
-        for concept in required_concepts:
-            if concept not in self.concepts:
-                raise CorpusError(f"example {self.id}: missing concept {concept!r}")
-        for concept, value in self.concepts.items():
-            if value not in (0, 1):
-                raise CorpusError(f"example {self.id}: concept {concept!r} not binary")
 
 
 @dataclass(frozen=True)
@@ -210,17 +205,6 @@ class CorpusBundle:
     def all_examples(self) -> list[Example]:
         return [*self.train, *self.dev, *self.test]
 
-    def validate(self, max_tokens: int | None = None):
-        n_labels = len(self.meta.label_names)
-        required = tuple(self.meta.concepts)
-        seen: set[str] = set()
-        for split_name in ("train", "dev", "test"):
-            for ex in getattr(self, split_name):
-                ex.validate(n_labels, max_tokens, required)
-                if ex.id in seen:
-                    raise CorpusError(f"example id {ex.id} appears in two splits")
-                seen.add(ex.id)
-
 
 def split_sizes(n: int) -> tuple[int, int, int]:
     """64/16/20 split sizes with +/-1-example rounding."""
@@ -231,13 +215,14 @@ def split_sizes(n: int) -> tuple[int, int, int]:
 
 def assemble(examples: list[Example], meta: BundleMeta,
              twins: Callable[[int, Example], Iterable[Example]]) -> CorpusBundle:
-    """The validated 64/16/20 split of ``examples``, each test example paired with
-    the ``twin``-built examples that ``twins(index, example)`` gives for it."""
+    """The 64/16/20 split of ``examples``, each test example paired with the
+    ``twin``-built examples that ``twins(index, example)`` gives for it."""
+    for ex in examples:
+        if len(ex.tokens) > MAX_TOKENS:
+            raise CorpusError(f"example {ex.id}: {len(ex.tokens)} tokens exceeds {MAX_TOKENS}")
     sizes = split_sizes(len(examples))
     n_fit = sizes[0] + sizes[1]
     pairs = [ExamplePair(factual=ex, counterfactual=cf)
              for index, ex in enumerate(examples[n_fit:], start=n_fit) for cf in twins(index, ex)]
-    bundle = CorpusBundle(train=examples[:sizes[0]], dev=examples[sizes[0]:n_fit],
-                          test=examples[n_fit:], pairs=pairs, meta=meta)
-    bundle.validate(max_tokens=31)
-    return bundle
+    return CorpusBundle(train=examples[:sizes[0]], dev=examples[sizes[0]:n_fit],
+                        test=examples[n_fit:], pairs=pairs, meta=meta)

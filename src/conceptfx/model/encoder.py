@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .. import autodiff as ad
-from .vocab import PAD_ID
+from .vocab import PAD_ID, check_seed
 
 ATTN_MASK_BIAS = -1e9
 
@@ -65,6 +65,7 @@ class EncoderConfig:
 
 def init_encoder_params(config: EncoderConfig, seed: int, dtype=np.float32) -> dict[str, ad.Tensor]:
     """Normal(0, 0.02) weights, zero biases, unit layer-norm gains."""
+    check_seed(seed, EncoderError)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 101)))
 
     def normal(*shape):

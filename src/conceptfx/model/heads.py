@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import autodiff as ad
+from .vocab import check_seed
 
 
 class HeadError(Exception):
@@ -43,6 +44,10 @@ class HeadSet:
                    for v in (in_dim, classes)):
             raise HeadError(f"head {name!r} needs integer in_dim >= 1 and classes >= 1, "
                             f"got {in_dim!r} and {classes!r}")
+        if adversarial and not (isinstance(grl_lambda, numbers.Real) and not isinstance(grl_lambda, bool)
+                                and 0.0 <= grl_lambda < float("inf")):
+            raise HeadError(f"adversarial head {name!r} needs a finite real grl_lambda >= 0, got {grl_lambda!r}")
+        check_seed(seed, HeadError)
         rng = np.random.default_rng(np.random.SeedSequence((seed, 202, len(self.heads))))
         self.params[f"head.{name}.w"] = ad.Tensor(
             rng.normal(0.0, 0.02, size=(in_dim, classes)), requires_grad=True, dtype=dtype)

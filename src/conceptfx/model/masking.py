@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .vocab import CLS_ID, MASK_ID, PAD_ID, Vocab, encode
+from .vocab import CLS_ID, MASK_ID, PAD_ID, Vocab, check_seed, encode
 
 ACTION_MASK, ACTION_KEEP_PREDICT, ACTION_RANDOM = 0, 1, 2
 
@@ -50,8 +50,7 @@ def _assign_actions(rng: np.random.Generator, positions: np.ndarray, ids: np.nda
                        np.where(u < 0.9, ACTION_KEEP_PREDICT, ACTION_RANDOM))
     replacements = np.where(actions == ACTION_MASK, MASK_ID, ids[positions])
     random_slots = actions == ACTION_RANDOM
-    if random_slots.any():
-        replacements = replacements.copy()
+    if random_slots.any():  # an empty draw would leave the stream as is but still costs a call
         replacements[random_slots] = rng.integers(4, vocab_size, size=int(random_slots.sum()))
     return actions, replacements
 
@@ -60,11 +59,14 @@ def mlm_mask(ids: np.ndarray, vocab: Vocab, rate: float = 0.15, seed: int = 0) -
     """Select each non-special position independently with probability ``rate``."""
     if not (isinstance(rate, numbers.Real) and not isinstance(rate, bool) and 0.0 <= rate <= 1.0):
         raise MaskingError(f"rate must be a real number in [0, 1], got {rate!r}")
+    check_seed(seed, MaskingError)
     ids = np.asarray(ids)
+    if ids.ndim != 1:
+        raise MaskingError(f"ids must be one 1-D sequence, got shape {ids.shape}")
     eligible = (ids != PAD_ID) & (ids != CLS_ID)
     if not eligible.any():
         raise MaskingError("no maskable positions")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(np.random.SeedSequence((seed,)))
     picks = (rng.random(len(ids)) < rate) & eligible
     positions = np.flatnonzero(picks)
     actions, replacements = _assign_actions(rng, positions, ids, vocab.size)
@@ -79,15 +81,14 @@ def ima_mask(example, vocab: Vocab, seed: int = 0, max_len: int = 32) -> Masking
     sequence lacks enough non-adjective tokens, in which case all available
     ones are selected and the shortfall is recorded as ``imbalance``.
     """
+    check_seed(seed, MaskingError)
     ids, _ = encode(example.tokens, vocab, max_len)
-    limit = min(len(example.tokens), max_len - 1)
-    adj_positions = np.array([i + 1 for i in range(limit)
-                              if example.tokens[i].slot == "adjective"], dtype=np.int64)
+    is_adjective = np.array([t.slot == "adjective" for t in example.tokens[:max_len - 1]], dtype=bool)
+    slots = np.arange(1, len(is_adjective) + 1)  # token i sits at position i + 1, after CLS
+    adj_positions, other_positions = slots[is_adjective], slots[~is_adjective]
     if len(adj_positions) == 0:
         raise MaskingError(f"example {example.id} has no adjective tokens")
-    other_positions = np.array([i + 1 for i in range(limit)
-                                if example.tokens[i].slot != "adjective"], dtype=np.int64)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(np.random.SeedSequence((seed,)))
     want = len(adj_positions)
     if len(other_positions) >= want:
         chosen = rng.choice(other_positions, size=want, replace=False)
@@ -96,8 +97,6 @@ def ima_mask(example, vocab: Vocab, seed: int = 0, max_len: int = 32) -> Masking
         chosen = other_positions
         imbalance = want - len(other_positions)
     positions = np.sort(np.concatenate([adj_positions, chosen]))
-    adjectives = set(adj_positions.tolist())
-    binary = np.array([1 if p in adjectives else 0 for p in positions], dtype=np.int64)
     actions, replacements = _assign_actions(rng, positions, ids, vocab.size)
     return MaskingPlan(positions=positions, actions=actions, replacements=replacements,
-                       binary_targets=binary, imbalance=imbalance)
+                       binary_targets=is_adjective[positions - 1].astype(np.int64), imbalance=imbalance)

@@ -1,4 +1,5 @@
-"""Whitespace-token vocabulary with reserved ids and fixed-length encoding."""
+"""Whitespace-token vocabulary with reserved ids and fixed-length encoding,
+and the seed check the model package shares."""
 
 from __future__ import annotations
 
@@ -42,6 +43,12 @@ def build_vocab(corpus) -> Vocab:
     for ex in examples:
         seen.update(t.surface for t in ex.tokens)
     return Vocab(list(SPECIAL_TOKENS) + sorted(seen))
+
+
+def check_seed(seed, error: type[Exception]) -> None:
+    """Raise ``error`` unless ``seed`` is an integer >= 0; a ``bool`` is not one."""
+    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
+        raise error(f"seed must be an integer >= 0, got {seed!r}")
 
 
 def _check_max_len(max_len) -> None:

@@ -169,6 +169,12 @@ class TestPomsGeneration:
         with pytest.raises(CorpusError, match="infeasible"):
             generate_poms_corpus(n=2, seed=1)
 
+    def test_template_over_the_token_cap_rejected(self):
+        # <person> plus 31 words, before the noise sentence, cannot fit in 31 tokens.
+        templates = [Template(id=1, tokens=["<person>"] + ["word"] * 31)]
+        with pytest.raises(CorpusError, match=r"poms-000000: \d+ tokens exceeds 31"):
+            generate_poms_corpus(templates=templates, n=100, seed=1)
+
     def test_empty_templates_rejected(self):
         with pytest.raises(CorpusError):
             generate_poms_corpus(templates=[], n=100, seed=1)

@@ -1,4 +1,5 @@
-"""Malformed corpus and checkpoint files raise the package's typed errors."""
+"""Malformed corpus and checkpoint files, and bad seeds or sizes at the public
+entry points, raise the package's typed errors."""
 
 import json
 import struct
@@ -6,7 +7,9 @@ import struct
 import pytest
 
 from conceptfx.checkpoint import CheckpointError, load_checkpoint
-from conceptfx.corpus import CorpusError, generate_poms_corpus, read_jsonl, write_jsonl
+from conceptfx.corpus import (CorpusError, default_lexicons, flip_concept, generate_poms_corpus,
+                              generate_review_corpus, read_jsonl, write_jsonl)
+from conceptfx.model import EncoderConfig, EncoderError, HeadError, HeadSet, init_encoder_params
 
 
 def _drop_seed(lines):
@@ -101,6 +104,7 @@ def _set(index, key, value):
     (_unmarked_twin, "lacks the ~cf~<concept> suffix"),
     (_set(1, "label", 99), "line 2: example poms-000000: label 99 out of range"),
     (_set(1, "concepts", {"gender": 7, "race": 0}), "line 2: .*concept 'gender' not binary"),
+    (_set(1, "concepts", {"gender": 1}), "line 2: .*missing concept 'race'"),
     (_set(-1, "id", "poms-999999~cf~race"), "line 71: .*unknown example 'poms-999999'"),
     (_schema_1, "line 1: unsupported schema_version 1"),
     (_uppercase_surface, "line 3: token surface '[A-Z]+' is empty or not lowercase"),
@@ -111,7 +115,7 @@ def _set(index, key, value):
 ], ids=["no-seed", "string-provenance", "list-header", "string-label-names", "string-domains",
         "int-in-concepts", "string-seed", "bool-seed", "int-bias-version", "list-provenance",
         "list-record", "list-concepts",
-        "list-id", "unmarked-twin", "label-99", "non-binary-concept", "unknown-factual",
+        "list-id", "unmarked-twin", "label-99", "non-binary-concept", "missing-concept", "unknown-factual",
         "schema-1", "uppercase-surface", "repeated-factual", "repeated-twin",
         "twin-of-unknown-concept", "twin-of-train-row"])
 def test_read_jsonl_rejects_malformed_file(tmp_path, corrupt, match):
@@ -122,6 +126,22 @@ def test_read_jsonl_rejects_malformed_file(tmp_path, corrupt, match):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(CorpusError, match=match):
         read_jsonl(path)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: init_encoder_params(EncoderConfig(vocab_size=10), -1), EncoderError, "seed must be"),
+    (lambda: HeadSet().add_seq("t", 4, 2, -1), HeadError, "seed must be"),
+    (lambda: generate_poms_corpus(n=50, seed=-1), CorpusError, "seed must be"),
+    (lambda: generate_review_corpus(n=50, seed=-1), CorpusError, "seed must be"),
+    (lambda: flip_concept(generate_poms_corpus(n=50, seed=8).test[0], "gender", default_lexicons(), seed=-1),
+     CorpusError, "seed must be"),
+    (lambda: generate_review_corpus(n="x"), CorpusError, "n must be an integer >= 2, got 'x'"),
+    (lambda: generate_poms_corpus(n="x"), CorpusError, "n must be an integer >= 0, got 'x'"),
+], ids=["encoder-seed", "head-seed", "poms-seed", "review-seed", "flip-seed", "review-n", "poms-n"])
+def test_public_entry_points_reject_bad_seed_and_size(call, error, match):
+    # Each leaked numpy's ValueError ("expected non-negative integer") or, for n="x", a TypeError.
+    with pytest.raises(error, match=match):
+        call()
 
 
 def _entry(**overrides):

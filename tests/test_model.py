@@ -126,6 +126,19 @@ class TestMlmMask:
         with pytest.raises(MaskingError, match="rate must be a real number in"):
             mlm_mask(ids, vocab, rate=rate, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "x", True])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # -1 leaked numpy's ValueError; 1.5 and "x" leaked TypeError.
+        vocab = _toy_vocab()
+        ids, _ = encode(["alpha", "beta"], vocab, max_len=6)
+        with pytest.raises(MaskingError, match="seed must be an integer >= 0"):
+            mlm_mask(ids, vocab, rate=0.5, seed=seed)
+
+    def test_batch_of_ids_rejected(self):
+        # A [5, 5] batch leaked IndexError.
+        with pytest.raises(MaskingError, match=r"1-D sequence, got shape \(5, 5\)"):
+            mlm_mask(np.full((5, 5), 5), _toy_vocab(), rate=0.5, seed=0)
+
     def test_no_maskable_positions_errors(self):
         vocab = _toy_vocab()
         ids, _ = encode([], vocab, max_len=4)
@@ -173,6 +186,12 @@ class TestImaMask:
             ones += int(plan.binary_targets.sum())
             zeros += int((plan.binary_targets == 0).sum())
         assert ones / (ones + zeros) == pytest.approx(0.5, abs=0.01)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "x", True])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        ex = _adjective_example(2, 8)
+        with pytest.raises(MaskingError, match="seed must be an integer >= 0"):
+            ima_mask(ex, build_vocab([ex]), seed=seed, max_len=16)
 
     def test_deterministic(self):
         ex = _adjective_example(2, 9)
@@ -388,6 +407,15 @@ class TestHeads:
         heads = HeadSet()
         with pytest.raises(HeadError, match="needs integer in_dim"):
             heads.add_seq("h", in_dim=in_dim, classes=classes, seed=0)
+        assert heads.heads == {} and heads.params == {}
+
+    @pytest.mark.parametrize("lam", [-1.0, float("nan"), float("inf"), "x", True])
+    def test_adversarial_lambda_checked_when_added(self, lam):
+        # -1.0 and "x" were stored and failed only at forward (AutodiffError, raw ValueError).
+        from conceptfx.model.heads import HeadError
+        heads = HeadSet()
+        with pytest.raises(HeadError, match="adversarial head 'h' needs a finite real grl_lambda"):
+            heads.add_seq("h", in_dim=6, classes=2, seed=0, adversarial=True, grl_lambda=lam)
         assert heads.heads == {} and heads.params == {}
 
     def test_class_mismatch_rejected(self):
