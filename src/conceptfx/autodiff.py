@@ -42,6 +42,8 @@ import threading
 
 import numpy as np
 
+from .checks import integer, real
+
 
 class AutodiffError(Exception):
     """Base class for autodiff failures."""
@@ -442,9 +444,7 @@ class DropoutRng:
     """
 
     def __init__(self, seed: int):
-        if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or not 0 <= seed < 2 ** 128:
-            raise AutodiffError(f"dropout seed must be an integer in [0, 2**128) for Philox, got {seed!r}")
-        self.seed = int(seed)
+        self.seed = integer(seed, "dropout seed", AutodiffError, high=2 ** 128)  # Philox's key range
         self.calls = 0
 
     def keep_mask(self, shape, keep_prob: float) -> np.ndarray:
@@ -456,12 +456,11 @@ class DropoutRng:
 
 def dropout(x: Tensor, p: float, rng: DropoutRng | None) -> Tensor:
     """Inverted dropout; the identity when ``p == 0``."""
+    real(p, "dropout probability", AutodiffError, 0.0, 1.0)
     if p == 0.0:
         return x
     if rng is None:
         raise AutodiffError("dropout with p > 0 requires a DropoutRng")
-    if not 0.0 <= p < 1.0:
-        raise AutodiffError(f"dropout probability out of range: {p}")
     keep = 1.0 - p
     mask = rng.keep_mask(x.shape, keep).astype(x.dtype) / x.dtype.type(keep)
     out = x.data * mask
@@ -506,9 +505,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
 
 def grad_reverse(x: Tensor, lam: float) -> Tensor:
     """Identity forward; backward passes ``-lam * g`` to the input."""
-    lam = float(lam)
-    if not 0.0 <= lam < math.inf:
-        raise AutodiffError(f"grad_reverse lambda must be finite and >= 0, got {lam}")
+    lam = real(lam, "grad_reverse lambda", AutodiffError, 0.0)
     out = x.data
 
     def backward(g):

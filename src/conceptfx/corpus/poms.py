@@ -19,9 +19,10 @@ from typing import Mapping
 
 import numpy as np
 
+from ..checks import integer
 from .io import load_data
 from .types import (BiasSpec, BundleMeta, CorpusBundle, CorpusError, Example,
-                    TaggedToken, Template, assemble, check_integer, load_templates, twin)
+                    TaggedToken, Template, assemble, load_templates, template_probs, twin)
 
 POMS_LABELS = ("anger", "sadness", "fear", "joy")
 _CONCEPTS = ("gender", "race")
@@ -183,7 +184,7 @@ def flip_concept(example: Example, concept: str, lexicons: PomsLexicons, seed: i
     """
     if concept not in _CONCEPTS:
         raise CorpusError(f"cannot flip concept {concept!r}")
-    check_integer(seed, "seed")
+    integer(seed, "seed", CorpusError)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 2, _CONCEPTS.index(concept) + 1)))
     concepts = {**example.concepts, concept: 1 - example.concepts[concept]}
     cell = lexicons.name_cell(concepts)
@@ -219,18 +220,16 @@ def generate_poms_corpus(templates: list[Template] | None = None,
         raise CorpusError("template list must be non-empty")
     if bias.concept not in _CONCEPTS:
         raise CorpusError(f"unsupported bias concept {bias.concept!r} for a mood-state corpus")
-    check_integer(seed, "seed")
-    check_integer(n, "n")
+    integer(seed, "seed", CorpusError)
+    integer(n, "n", CorpusError)
     if n < len(POMS_LABELS):
         raise CorpusError(
             f"bias probabilities infeasible for n={n}: need at least one example per label "
             f"({len(POMS_LABELS)} labels)")
     lexicons.validate()
 
-    weights = np.array([t.weight for t in templates], dtype=float)
-    template_probs = weights / weights.sum()
-
-    examples = [_build_example(i, seed, templates, template_probs, lexicons, bias)
+    probs = template_probs(templates)
+    examples = [_build_example(i, seed, templates, probs, lexicons, bias)
                 for i in range(n)]
 
     def twins(index: int, ex: Example) -> list[Example]:

@@ -14,9 +14,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ..checks import integer, real
 from .io import load_data
 from .types import (BIAS_VERSIONS, BiasSpec, BundleMeta, CorpusBundle, CorpusError,
-                    Example, TaggedToken, Template, assemble, check_integer, load_templates, twin)
+                    Example, TaggedToken, Template, assemble, load_templates, template_probs, twin)
 
 REVIEW_LABELS = ("negative", "positive")
 DEFAULT_DOMAINS = ("books", "dvd", "electronics", "kitchen", "movies")
@@ -43,8 +44,7 @@ class ReviewGrammar:
         planted = [d for d in DEFAULT_DOMAINS if self.topic_words.get(d)]
         if len(planted) < 2:
             raise CorpusError("grammar must plant topic words for at least 2 domains")
-        if not 0.0 <= self.topic_word_rate <= 1.0:
-            raise CorpusError(f"topic word rate must be in [0, 1], got {self.topic_word_rate}")
+        real(self.topic_word_rate, "topic_word_rate", CorpusError, 0.0, 1.0, high_open=False)
         # A <topic> slot takes a generic noun at rate 1 - topic_word_rate, and always
         # in a domain without topic words.
         falls_back = self.topic_word_rate < 1.0 or len(planted) < len(DEFAULT_DOMAINS)
@@ -179,11 +179,9 @@ def generate_review_corpus(grammar: ReviewGrammar | None = None,
     if bias.concept != "adjectives":
         raise CorpusError(f"review corpora take an adjectives bias, got one for {bias.concept!r}")
     grammar.validate()
-    check_integer(seed, "seed")
-    check_integer(n, "n", low=2)
-
-    weights = np.array([f.weight for f in grammar.frames], dtype=float)
-    frame_probs = weights / weights.sum()
+    integer(seed, "seed", CorpusError)
+    integer(n, "n", CorpusError, low=2)
+    frame_probs = template_probs(grammar.frames)
     drafts = [_build_review(i, seed, grammar, frame_probs) for i in range(n)]
     ids = [f"rev-{i:06d}" for i in range(n)]
     ratios = np.array([_token_ratio(tokens, ex_id) for ex_id, (_, _, tokens) in zip(ids, drafts)])

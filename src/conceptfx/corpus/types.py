@@ -9,10 +9,13 @@ split and the ``MAX_TOKENS`` cap, and records test examples' twins only in
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
+
+import numpy as np
+
+from ..checks import real
 
 _TWIN_MARK = "~cf~"
 
@@ -36,12 +39,6 @@ class CorpusError(Exception):
 
 class UndefinedCorrelationError(CorpusError):
     """Concept or label has zero variance, so correlation is undefined."""
-
-
-def check_integer(value, name: str, low: int = 0) -> None:
-    """Raise ``CorpusError`` unless ``value`` is an integer >= ``low``; a ``bool`` is not one."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
-        raise CorpusError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -71,6 +68,14 @@ class Template:
 def load_templates(records: list[dict]) -> list[Template]:
     """Templates from their ``{id, tokens, weight}`` JSON records."""
     return [Template(id=r["id"], tokens=list(r["tokens"]), weight=float(r["weight"])) for r in records]
+
+
+def template_probs(templates: list[Template]) -> np.ndarray:
+    """The probability of drawing each template, proportional to its weight."""
+    weights = np.array([real(t.weight, f"template {t.id} weight", CorpusError, 0.0) for t in templates])
+    if weights.sum() == 0:
+        raise CorpusError("template weights sum to 0")
+    return weights / weights.sum()
 
 
 @dataclass(frozen=True)
@@ -171,6 +176,8 @@ class BiasSpec:
     def expected_correlation(self, target_label: str) -> float:
         """Pearson correlation implied by ``label_probs`` with uniform labels."""
         probs = self.label_probs
+        if target_label not in probs:
+            raise CorpusError(f"unknown target label {target_label!r}")
         k = len(probs)
         e_c = sum(probs.values()) / k
         e_y = 1.0 / k

@@ -10,13 +10,13 @@ invariant to the PAD tail.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .. import autodiff as ad
-from .vocab import PAD_ID, check_seed
+from ..checks import integer, real
+from .vocab import PAD_ID
 
 ATTN_MASK_BIAS = -1e9
 
@@ -38,22 +38,13 @@ class EncoderConfig:
     dropout: float = 0.1
 
     def __post_init__(self):
-        for name in ("vocab_size", "layers", "heads", "dim", "ffn_dim", "max_len"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise EncoderError(f"{name} must be an int, got {value!r}")
+        integer(self.vocab_size, "vocab_size", EncoderError, low=5)
+        integer(self.layers, "layers", EncoderError)
         for name in ("heads", "dim", "ffn_dim", "max_len"):
-            if getattr(self, name) < 1:
-                raise EncoderError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.layers < 0:
-            raise EncoderError(f"layers must be >= 0, got {self.layers}")
+            integer(getattr(self, name), name, EncoderError, low=1)
         if self.dim % self.heads != 0:
             raise EncoderError(f"dim {self.dim} not divisible by heads {self.heads}")
-        if self.vocab_size < 5:
-            raise EncoderError("vocabulary too small for an encoder")
-        if not (isinstance(self.dropout, numbers.Real) and not isinstance(self.dropout, bool)
-                and 0.0 <= self.dropout < 1.0):
-            raise EncoderError(f"dropout must be a real number in [0, 1), got {self.dropout!r}")
+        real(self.dropout, "dropout", EncoderError, 0.0, 1.0)
 
     @property
     def head_dim(self) -> int:
@@ -65,7 +56,7 @@ class EncoderConfig:
 
 def init_encoder_params(config: EncoderConfig, seed: int, dtype=np.float32) -> dict[str, ad.Tensor]:
     """Normal(0, 0.02) weights, zero biases, unit layer-norm gains."""
-    check_seed(seed, EncoderError)
+    integer(seed, "seed", EncoderError)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 101)))
 
     def normal(*shape):

@@ -9,13 +9,12 @@ control heads never are.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .. import autodiff as ad
-from .vocab import check_seed
+from ..checks import integer, real
 
 
 class HeadError(Exception):
@@ -40,14 +39,11 @@ class HeadSet:
                 adversarial: bool = False, grl_lambda: float = 1.0):
         if name in self.heads:
             raise HeadError(f"duplicate head {name!r}")
-        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1
-                   for v in (in_dim, classes)):
-            raise HeadError(f"head {name!r} needs integer in_dim >= 1 and classes >= 1, "
-                            f"got {in_dim!r} and {classes!r}")
-        if adversarial and not (isinstance(grl_lambda, numbers.Real) and not isinstance(grl_lambda, bool)
-                                and 0.0 <= grl_lambda < float("inf")):
-            raise HeadError(f"adversarial head {name!r} needs a finite real grl_lambda >= 0, got {grl_lambda!r}")
-        check_seed(seed, HeadError)
+        integer(in_dim, f"head {name!r} in_dim", HeadError, low=1)
+        integer(classes, f"head {name!r} classes", HeadError, low=1)
+        if adversarial:
+            real(grl_lambda, f"adversarial head {name!r} grl_lambda", HeadError, 0.0)
+        integer(seed, "seed", HeadError)
         rng = np.random.default_rng(np.random.SeedSequence((seed, 202, len(self.heads))))
         self.params[f"head.{name}.w"] = ad.Tensor(
             rng.normal(0.0, 0.02, size=(in_dim, classes)), requires_grad=True, dtype=dtype)

@@ -8,12 +8,12 @@ become a random non-special token.  Plans are deterministic functions of
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .vocab import CLS_ID, MASK_ID, PAD_ID, Vocab, check_seed, encode
+from ..checks import integer, real
+from .vocab import CLS_ID, MASK_ID, PAD_ID, Vocab, encode
 
 ACTION_MASK, ACTION_KEEP_PREDICT, ACTION_RANDOM = 0, 1, 2
 
@@ -57,9 +57,8 @@ def _assign_actions(rng: np.random.Generator, positions: np.ndarray, ids: np.nda
 
 def mlm_mask(ids: np.ndarray, vocab: Vocab, rate: float = 0.15, seed: int = 0) -> MaskingPlan:
     """Select each non-special position independently with probability ``rate``."""
-    if not (isinstance(rate, numbers.Real) and not isinstance(rate, bool) and 0.0 <= rate <= 1.0):
-        raise MaskingError(f"rate must be a real number in [0, 1], got {rate!r}")
-    check_seed(seed, MaskingError)
+    real(rate, "rate", MaskingError, 0.0, 1.0, high_open=False)
+    integer(seed, "seed", MaskingError)
     ids = np.asarray(ids)
     if ids.ndim != 1:
         raise MaskingError(f"ids must be one 1-D sequence, got shape {ids.shape}")
@@ -81,7 +80,7 @@ def ima_mask(example, vocab: Vocab, seed: int = 0, max_len: int = 32) -> Masking
     sequence lacks enough non-adjective tokens, in which case all available
     ones are selected and the shortfall is recorded as ``imbalance``.
     """
-    check_seed(seed, MaskingError)
+    integer(seed, "seed", MaskingError)
     ids, _ = encode(example.tokens, vocab, max_len)
     is_adjective = np.array([t.slot == "adjective" for t in example.tokens[:max_len - 1]], dtype=bool)
     slots = np.arange(1, len(is_adjective) + 1)  # token i sits at position i + 1, after CLS

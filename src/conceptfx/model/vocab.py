@@ -1,12 +1,12 @@
-"""Whitespace-token vocabulary with reserved ids and fixed-length encoding,
-and the seed check the model package shares."""
+"""Whitespace-token vocabulary with reserved ids and fixed-length encoding."""
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from ..checks import integer
 
 PAD_ID, UNK_ID, CLS_ID, MASK_ID = 0, 1, 2, 3
 SPECIAL_TOKENS = ("<pad>", "<unk>", "<cls>", "<mask>")
@@ -45,24 +45,13 @@ def build_vocab(corpus) -> Vocab:
     return Vocab(list(SPECIAL_TOKENS) + sorted(seen))
 
 
-def check_seed(seed, error: type[Exception]) -> None:
-    """Raise ``error`` unless ``seed`` is an integer >= 0; a ``bool`` is not one."""
-    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
-        raise error(f"seed must be an integer >= 0, got {seed!r}")
-
-
-def _check_max_len(max_len) -> None:
-    if not isinstance(max_len, numbers.Integral) or isinstance(max_len, bool) or max_len < 1:
-        raise VocabError(f"max_len must be an integer >= 1 (room for CLS), got {max_len!r}")
-
-
 def encode(tokens, vocab: Vocab, max_len: int) -> tuple[np.ndarray, bool]:
     """Encode surfaces as ``[CLS, t1, ..., PAD...]``; returns (ids, truncated).
 
     Sequences longer than ``max_len - 1`` lose their tail; callers should
     count truncations.  Out-of-vocabulary tokens map to UNK.
     """
-    _check_max_len(max_len)
+    integer(max_len, "max_len", VocabError, low=1)  # room for CLS
     surfaces = [t.surface if hasattr(t, "surface") else t for t in tokens]
     truncated = len(surfaces) > max_len - 1
     ids = np.full(max_len, PAD_ID, dtype=np.int64)
@@ -74,7 +63,7 @@ def encode(tokens, vocab: Vocab, max_len: int) -> tuple[np.ndarray, bool]:
 
 def encode_batch(examples, vocab: Vocab, max_len: int) -> tuple[np.ndarray, int]:
     """Encode a list of examples; returns (ids[B, L], truncation count)."""
-    _check_max_len(max_len)
+    integer(max_len, "max_len", VocabError, low=1)  # room for CLS
     ids = np.empty((len(examples), max_len), dtype=np.int64)
     truncations = 0
     for i, ex in enumerate(examples):

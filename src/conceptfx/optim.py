@@ -8,12 +8,10 @@ parameters, their gradients and the optimizer's moments and step count.
 
 from __future__ import annotations
 
-import math
-import numbers
-
 import numpy as np
 
 from .autodiff import Tensor
+from .checks import real
 
 _EPS, _BETA1, _BETA2 = 1e-8, 0.9, 0.999
 
@@ -31,10 +29,8 @@ class Adam:
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
-        if not (isinstance(lr, numbers.Real) and not isinstance(lr, bool) and math.isfinite(lr) and lr > 0):
-            raise OptimError(f"learning rate must be a finite real > 0, got {lr!r}")
+        self.lr = real(lr, "learning rate", OptimError, 0.0, low_open=True)
         self.params = params
-        self.lr = float(lr)
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.t = 0

@@ -25,13 +25,13 @@ drew, and the fit has the same bytes.
 
 from __future__ import annotations
 
-import math
-import numbers
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .checks import integer, real
 
 
 class TopicError(Exception):
@@ -77,10 +77,6 @@ def _check_counts(n_dk, n_wk, n_k, doc_lens, sweep):
             raise TopicError(f"sweep {sweep}: topic-word counts drifted for topic {k}")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def fit_lda(docs, T: int, alpha: float | None = None, beta: float = 0.01,
             iters: int = 500, seed: int = 0, doc_ids=None) -> TopicModel:
     """Collapsed Gibbs sampling with p(z=k) ~ (n_dk+a)(n_kw+b)/(n_k+Vb).
@@ -89,17 +85,13 @@ def fit_lda(docs, T: int, alpha: float | None = None, beta: float = 0.01,
     tokenization are excluded from fitting (with a warning) and receive a
     uniform topic row.
     """
-    if not _is_int(T) or T < 1:
-        raise TopicError(f"topic count T must be an integer >= 1, got {T!r}")
+    integer(T, "topic count T", TopicError, low=1)
     if alpha is None:
         alpha = 50.0 / T
-    for name, value in (("alpha", alpha), ("beta", beta)):
-        if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                and math.isfinite(value) and value > 0):
-            raise TopicError(f"need a finite {name} > 0, got {value!r}")
-    for name, value in (("iters", iters), ("seed", seed)):
-        if not _is_int(value) or value < 0:
-            raise TopicError(f"need an integer {name} >= 0, got {value!r}")
+    real(alpha, "alpha", TopicError, 0.0, low_open=True)
+    real(beta, "beta", TopicError, 0.0, low_open=True)
+    integer(iters, "iters", TopicError)
+    integer(seed, "seed", TopicError)
     if isinstance(docs, str):
         raise TopicError("docs must be a sequence of token sequences, got a string")
     docs = list(docs)

@@ -170,6 +170,12 @@ class TestPrimitiveValues:
         c = ad.dropout(x, 0.5, r1)
         assert not np.array_equal(a.data, c.data)
 
+    @pytest.mark.parametrize("p", ["x", 1.0, -0.1, float("nan")])
+    def test_dropout_probability_must_be_a_real_in_unit_interval(self, p):
+        # "x" leaked TypeError from the range check.
+        with pytest.raises(ad.AutodiffError, match=r"^dropout probability must be a real number in \[0, 1\)"):
+            ad.dropout(ad.Tensor(np.ones((2, 2))), p, ad.DropoutRng(0))
+
     @pytest.mark.parametrize("seed", [-1, 2 ** 128, 2.9, "5", True, None],
                              ids=["negative", "2**128", "float", "string", "bool", "none"])
     def test_dropout_rng_rejects_a_seed_philox_cannot_key(self, seed):
@@ -606,8 +612,9 @@ class TestGradReverse:
         np.testing.assert_array_equal(gw_rev, gw_plain)
         np.testing.assert_allclose(gx_rev, -3.0 * gx_plain, rtol=1e-12)
 
-    # ``lam < 0`` is false for NaN, so a sign check alone let NaN through.
-    @pytest.mark.parametrize("lam", [-0.5, float("nan"), float("inf")])
+    # ``lam < 0`` is false for NaN, so a sign check alone let NaN through;
+    # ``float(lam)`` let "0.5" and True through.
+    @pytest.mark.parametrize("lam", [-0.5, float("nan"), float("inf"), "0.5", True])
     def test_negative_lambda_rejected(self, lam):
         with pytest.raises(ad.AutodiffError):
             ad.grad_reverse(ad.Tensor(np.ones(2)), lam)

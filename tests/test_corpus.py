@@ -64,6 +64,11 @@ class TestPomsGeneration:
     def test_expected_correlation_bits(self, version, bits):
         assert BiasSpec.poms(version).expected_correlation("joy").hex() == bits
 
+    def test_expected_correlation_rejects_an_unknown_label(self):
+        # Leaked KeyError; measure_correlation already raised this for the same mistake.
+        with pytest.raises(CorpusError, match="^unknown target label 'nope'$"):
+            BiasSpec.poms("gentle").expected_correlation("nope")
+
     def test_bias_monotonicity(self):
         rs = []
         for version in ("balanced", "gentle", "aggressive"):

@@ -3,12 +3,14 @@ entry points, raise the package's typed errors."""
 
 import json
 import struct
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from conceptfx.checkpoint import CheckpointError, load_checkpoint
-from conceptfx.corpus import (CorpusError, default_lexicons, flip_concept, generate_poms_corpus,
-                              generate_review_corpus, read_jsonl, write_jsonl)
+from conceptfx.corpus import (CorpusError, Template, default_grammar, default_lexicons, flip_concept,
+                              generate_poms_corpus, generate_review_corpus, read_jsonl, write_jsonl)
 from conceptfx.model import EncoderConfig, EncoderError, HeadError, HeadSet, init_encoder_params
 
 
@@ -137,9 +139,23 @@ def test_read_jsonl_rejects_malformed_file(tmp_path, corrupt, match):
      CorpusError, "seed must be"),
     (lambda: generate_review_corpus(n="x"), CorpusError, "n must be an integer >= 2, got 'x'"),
     (lambda: generate_poms_corpus(n="x"), CorpusError, "n must be an integer >= 0, got 'x'"),
-], ids=["encoder-seed", "head-seed", "poms-seed", "review-seed", "flip-seed", "review-n", "poms-n"])
+    (lambda: generate_poms_corpus(n=50, seed=np.int64(3)), CorpusError,
+     "seed must be an integer >= 0"),
+    (lambda: generate_poms_corpus(templates=[Template(1, ["<person>", "smiles"], weight=0.0)], n=50),
+     CorpusError, "template weights sum to 0"),
+    (lambda: generate_poms_corpus(templates=[Template(1, ["<person>", "smiles"], weight=-1.0)], n=50),
+     CorpusError, r"template 1 weight must be a real number in \[0, inf\), got -1.0"),
+    (lambda: generate_review_corpus(
+        grammar=replace(default_grammar(), frames=[replace(default_grammar().frames[0], weight=0.0)]), n=50),
+     CorpusError, "template weights sum to 0"),
+    (lambda: generate_review_corpus(grammar=replace(default_grammar(), topic_word_rate="x"), n=50),
+     CorpusError, r"topic_word_rate must be a real number in \[0, 1\], got 'x'"),
+], ids=["encoder-seed", "head-seed", "poms-seed", "review-seed", "flip-seed", "review-n", "poms-n",
+        "numpy-seed", "zero-weight", "negative-weight", "zero-weight-frame", "string-topic-word-rate"])
 def test_public_entry_points_reject_bad_seed_and_size(call, error, match):
-    # Each leaked numpy's ValueError ("expected non-negative integer") or, for n="x", a TypeError.
+    # The seeds leaked numpy's ValueError ("expected non-negative integer"), n="x" and
+    # topic_word_rate="x" a TypeError, a numpy seed a TypeError only in write_jsonl, and
+    # zero weights numpy's "Probabilities contain NaN"; a negative weight passed.
     with pytest.raises(error, match=match):
         call()
 

@@ -405,7 +405,7 @@ class TestHeads:
         # HeadSet().add_seq("t", 2.5, 2, 0) leaked TypeError from rng.normal.
         from conceptfx.model.heads import HeadError
         heads = HeadSet()
-        with pytest.raises(HeadError, match="needs integer in_dim"):
+        with pytest.raises(HeadError, match="^head 'h' (in_dim|classes) must be an integer >= 1"):
             heads.add_seq("h", in_dim=in_dim, classes=classes, seed=0)
         assert heads.heads == {} and heads.params == {}
 
@@ -414,7 +414,7 @@ class TestHeads:
         # -1.0 and "x" were stored and failed only at forward (AutodiffError, raw ValueError).
         from conceptfx.model.heads import HeadError
         heads = HeadSet()
-        with pytest.raises(HeadError, match="adversarial head 'h' needs a finite real grl_lambda"):
+        with pytest.raises(HeadError, match=r"^adversarial head 'h' grl_lambda must be a real number in \[0, inf\)"):
             heads.add_seq("h", in_dim=6, classes=2, seed=0, adversarial=True, grl_lambda=lam)
         assert heads.heads == {} and heads.params == {}
 

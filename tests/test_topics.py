@@ -88,21 +88,32 @@ class TestFitLda:
         assert model.empty_docs == ["q"]
         np.testing.assert_array_equal(model.theta[1], np.full(4, 0.25))
 
+    # Argument-check rows keep the ids their earlier match strings gave them,
+    # so a test keeps its name when a message's wording changes.
     @pytest.mark.parametrize("docs, kwargs, match", [
         ([["a"]], {"T": 0}, "topic count"),
         ([[], []], {"T": 2}, "no tokens"),
         ([["a"], ["b"]], {"T": 2, "doc_ids": ["only-one"]}, "align"),
-        ([["a"], ["b"]], {"T": 2, "beta": -1.0}, "beta > 0"),
-        ([["a"], ["b"]], {"T": 2, "alpha": -1.0}, "alpha > 0"),
-        ([["a"], ["b"]], {"T": 2, "iters": -3}, "iters >= 0"),
+        pytest.param([["a"], ["b"]], {"T": 2, "beta": -1.0}, r"^beta must be a real number in \(0, inf\)",
+                     id="docs3-kwargs3-beta > 0"),
+        pytest.param([["a"], ["b"]], {"T": 2, "alpha": -1.0}, r"^alpha must be a real number in \(0, inf\)",
+                     id="docs4-kwargs4-alpha > 0"),
+        pytest.param([["a"], ["b"]], {"T": 2, "iters": -3}, "^iters must be an integer >= 0",
+                     id="docs5-kwargs5-iters >= 0"),
         ([["a"], ["b"]], {"T": 2.0}, "topic count T"),
         ([["a"], ["b"]], {"T": True}, "topic count T"),
-        ([["a"], ["b"]], {"T": 2, "iters": 2.5}, "integer iters"),
-        ([["a"], ["b"]], {"T": 2, "seed": -1}, "integer seed"),
-        ([["a"], ["b"]], {"T": 2, "seed": 1.0}, "integer seed"),
-        ([["a"], ["b"]], {"T": 2, "beta": float("inf")}, "finite beta"),
-        ([["a"], ["b"]], {"T": 2, "alpha": float("nan")}, "finite alpha"),
-        ([["a"], ["b"]], {"T": 2, "alpha": "0.1"}, "finite alpha"),
+        pytest.param([["a"], ["b"]], {"T": 2, "iters": 2.5}, "^iters must be an integer >= 0",
+                     id="docs8-kwargs8-integer iters"),
+        pytest.param([["a"], ["b"]], {"T": 2, "seed": -1}, "^seed must be an integer >= 0",
+                     id="docs9-kwargs9-integer seed"),
+        pytest.param([["a"], ["b"]], {"T": 2, "seed": 1.0}, "^seed must be an integer >= 0",
+                     id="docs10-kwargs10-integer seed"),
+        pytest.param([["a"], ["b"]], {"T": 2, "beta": float("inf")}, r"^beta must be a real number in \(0, inf\)",
+                     id="docs11-kwargs11-finite beta"),
+        pytest.param([["a"], ["b"]], {"T": 2, "alpha": float("nan")}, r"^alpha must be a real number in \(0, inf\)",
+                     id="docs12-kwargs12-finite alpha"),
+        pytest.param([["a"], ["b"]], {"T": 2, "alpha": "0.1"}, r"^alpha must be a real number in \(0, inf\)",
+                     id="docs13-kwargs13-finite alpha"),
         ("ab", {"T": 2}, "got a string"),
         ([["a", ["b"]]], {"T": 2}, "hashable and sortable.*unhashable"),
         ([[1, "a"]], {"T": 2}, "hashable and sortable.*not supported"),
