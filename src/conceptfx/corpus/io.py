@@ -102,8 +102,8 @@ def _parse_header(header: dict) -> BundleMeta:
     except KeyError as e:
         raise bad(f"missing {e}") from e
     provenance = header.get("provenance", {})
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise bad(f"seed {seed!r} is not an int")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise bad(f"seed {seed!r} is not an int >= 0")
     if version not in BIAS_VERSIONS:
         raise bad(f"unknown bias_version {version!r}")
     for key, value in lists.items():

@@ -1,68 +1,31 @@
 """Synthetic review-style corpus: sentiment from adjectives, topics per domain.
 
-Sentences come from a small frame grammar with adjective slots (filled from a
-polarity lexicon matching the sentiment label) and topic slots (filled with a
-domain-planted topic word at the grammar's configured rate, a generic noun
-otherwise).  Each example gets an adjective-deletion counterfactual twin, and
-the adjective-to-non-adjective ratio drives the score-sorted bias policy
-of ``apply_ratio_bias``.
+Sentences come from the packaged frame grammar, ``data/review_grammar.json``,
+read once at import.  Its adjective slots are filled from a polarity lexicon
+matching the sentiment label, and its topic slots with a domain-planted topic
+word at the grammar's ``topic_word_rate``, a generic noun otherwise.
+Generation is a pure function of (bias, n, seed).  Each example gets an
+adjective-deletion counterfactual twin, and the adjective-to-non-adjective
+ratio drives the score-sorted bias policy of ``apply_ratio_bias``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from ..checks import integer, real
+from ..checks import integer
 from .io import load_data
 from .types import (BIAS_VERSIONS, BiasSpec, BundleMeta, CorpusBundle, CorpusError,
-                    Example, TaggedToken, Template, assemble, load_templates, template_probs, twin)
+                    Example, TaggedToken, assemble, template_probs, twin)
 
 REVIEW_LABELS = ("negative", "positive")
 DEFAULT_DOMAINS = ("books", "dvd", "electronics", "kitchen", "movies")
 
-
-@dataclass
-class ReviewGrammar:
-    frames: list[Template]
-    adjectives: dict[str, list[str]]
-    topic_words: dict[str, list[str]]
-    generic_nouns: list[str]
-    topic_word_rate: float = 0.85
-
-    def validate(self):
-        if not self.frames:
-            raise CorpusError("grammar needs at least one frame")
-        for frame in self.frames:
-            if all(t == "<adj>" for t in frame.tokens):
-                raise CorpusError(f"frame {frame.id} has zero non-adjective tokens; "
-                                  "its counterfactual would be empty")
-        for polarity in ("positive", "negative"):
-            if not self.adjectives.get(polarity):
-                raise CorpusError(f"no {polarity} adjectives in grammar")
-        planted = [d for d in DEFAULT_DOMAINS if self.topic_words.get(d)]
-        if len(planted) < 2:
-            raise CorpusError("grammar must plant topic words for at least 2 domains")
-        real(self.topic_word_rate, "topic_word_rate", CorpusError, 0.0, 1.0, high_open=False)
-        # A <topic> slot takes a generic noun at rate 1 - topic_word_rate, and always
-        # in a domain without topic words.
-        falls_back = self.topic_word_rate < 1.0 or len(planted) < len(DEFAULT_DOMAINS)
-        if (not self.generic_nouns and falls_back
-                and any("<topic>" in frame.tokens for frame in self.frames)):
-            raise CorpusError("grammar has no generic nouns for the <topic> slots that fall back "
-                              "to one (topic_word_rate < 1 or a domain without topic words)")
-
-
-def default_grammar() -> ReviewGrammar:
-    raw = load_data("review_grammar.json")
-    return ReviewGrammar(
-        frames=load_templates(raw["frames"]),
-        adjectives=raw["adjectives"],
-        topic_words=raw["topic_words"],
-        generic_nouns=raw["generic_nouns"],
-        topic_word_rate=float(raw["topic_word_rate"]),
-    )
+_GRAMMAR = load_data("review_grammar.json")
+_FRAMES = [frame["tokens"] for frame in _GRAMMAR["frames"]]
+_FRAME_PROBS = template_probs([frame["weight"] for frame in _GRAMMAR["frames"]])
 
 
 def _token_ratio(tokens: tuple[TaggedToken, ...], example_id: str) -> float:
@@ -113,8 +76,12 @@ def apply_ratio_bias(bundle: CorpusBundle, version: str) -> CorpusBundle:
     bottom-half-by-ratio positive-label examples ("half" rounds down).  Each
     split is filtered independently; pairs whose factual member was deleted
     are dropped.  A bundle already biased takes ``balanced`` only: a second
-    deletion would compound the first under the new version's name.
+    deletion would compound the first under the new version's name.  Only a
+    bundle labelled ``REVIEW_LABELS`` can be biased: the policy reads label 0
+    as negative and 1 as positive.
     """
+    if bundle.meta.label_names != list(REVIEW_LABELS):
+        raise CorpusError(f"ratio bias needs the labels {list(REVIEW_LABELS)}, got {bundle.meta.label_names}")
     if version not in BIAS_VERSIONS:
         raise CorpusError(f"unknown bias version {version!r}")
     if version == "balanced":
@@ -130,43 +97,37 @@ def apply_ratio_bias(bundle: CorpusBundle, version: str) -> CorpusBundle:
                         meta=replace(bundle.meta, bias_version=version))
 
 
-def _build_review(index: int, seed: int, grammar: ReviewGrammar,
-                  frame_probs: np.ndarray) -> tuple[str, int, tuple[TaggedToken, ...]]:
+def _build_review(index: int, seed: int) -> tuple[str, int, tuple[TaggedToken, ...]]:
     """(domain, label, tokens) of review ``index``."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 11, index)))
     domain = DEFAULT_DOMAINS[rng.integers(len(DEFAULT_DOMAINS))]
     label = int(rng.integers(2))
-    frame = grammar.frames[rng.choice(len(grammar.frames), p=frame_probs)]
+    frame = _FRAMES[rng.choice(len(_FRAMES), p=_FRAME_PROBS)]
 
-    polarity = REVIEW_LABELS[label]
-    pool = list(grammar.adjectives[polarity])
-    n_adj = frame.tokens.count("<adj>")
-    if n_adj > len(pool):
-        raise CorpusError(f"frame {frame.id} needs {n_adj} adjectives, lexicon has {len(pool)}")
+    pool = _GRAMMAR["adjectives"][REVIEW_LABELS[label]]
+    n_adj = frame.count("<adj>")
     adj_choice = list(rng.choice(len(pool), size=n_adj, replace=False)) if n_adj else []
 
     tokens: list[TaggedToken] = []
     adj_i = 0
-    for tok in frame.tokens:
+    for tok in frame:
         if tok == "<adj>":
             tokens.append(TaggedToken(pool[adj_choice[adj_i]], "adjective"))
             adj_i += 1
         elif tok == "<topic>":
-            if rng.random() < grammar.topic_word_rate and grammar.topic_words.get(domain):
-                words = grammar.topic_words[domain]
+            if rng.random() < _GRAMMAR["topic_word_rate"]:
+                words = _GRAMMAR["topic_words"][domain]
                 tokens.append(TaggedToken(words[rng.integers(len(words))], "topic-word"))
             else:
-                tokens.append(TaggedToken(grammar.generic_nouns[rng.integers(len(grammar.generic_nouns))], "filler"))
+                nouns = _GRAMMAR["generic_nouns"]
+                tokens.append(TaggedToken(nouns[rng.integers(len(nouns))], "filler"))
         else:
             tokens.append(TaggedToken(tok, "filler"))
 
     return domain, label, tuple(tokens)
 
 
-def generate_review_corpus(grammar: ReviewGrammar | None = None,
-                           bias: BiasSpec | None = None,
-                           n: int = 5000,
-                           seed: int = 212) -> CorpusBundle:
+def generate_review_corpus(bias: BiasSpec | None = None, n: int = 5000, seed: int = 212) -> CorpusBundle:
     """Generate a review corpus with adjective-deletion twins on the test set.
 
     The binary ``adjectives`` concept is the adjective ratio binarized at the
@@ -174,15 +135,12 @@ def generate_review_corpus(grammar: ReviewGrammar | None = None,
     Gentle/aggressive bias versions apply the score-sorted deletion policy to
     each split independently.
     """
-    grammar = grammar if grammar is not None else default_grammar()
     bias = bias if bias is not None else BiasSpec.reviews("balanced")
     if bias.concept != "adjectives":
         raise CorpusError(f"review corpora take an adjectives bias, got one for {bias.concept!r}")
-    grammar.validate()
     integer(seed, "seed", CorpusError)
     integer(n, "n", CorpusError, low=2)
-    frame_probs = template_probs(grammar.frames)
-    drafts = [_build_review(i, seed, grammar, frame_probs) for i in range(n)]
+    drafts = [_build_review(i, seed) for i in range(n)]
     ids = [f"rev-{i:06d}" for i in range(n)]
     ratios = np.array([_token_ratio(tokens, ex_id) for ex_id, (_, _, tokens) in zip(ids, drafts)])
     median = float(np.median(ratios))
@@ -198,7 +156,7 @@ def generate_review_corpus(grammar: ReviewGrammar | None = None,
         concepts=["adjectives"],
         label_names=list(REVIEW_LABELS),
         domains=list(DEFAULT_DOMAINS),
-        lexicon_info={"frames": len(grammar.frames), "topic_word_rate": grammar.topic_word_rate,
+        lexicon_info={"frames": len(_FRAMES), "topic_word_rate": _GRAMMAR["topic_word_rate"],
                       "ratio_median": median},
     )
     bundle = assemble(examples, meta, lambda index, ex: [delete_adjectives(ex)])

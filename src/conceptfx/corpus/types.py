@@ -1,10 +1,11 @@
-"""Core corpus data types: templates, tagged tokens, examples, counterfactual pairs.
+"""Core corpus data types: tagged tokens, examples, counterfactual pairs, bundles.
 
-Bundles are generated as pure functions of (config, seed) and are treated as
-immutable once built; they are safe to share across threads, and shards with
-disjoint sub-seeds can be generated in parallel.  ``assemble`` owns the 64/16/20
-split and the ``MAX_TOKENS`` cap, and records test examples' twins only in
-``CorpusBundle.pairs``; the reader, ``io.read_jsonl``, checks records against their header.
+Bundles are generated from the packaged corpus data as pure functions of
+(bias, n, seed) and are treated as immutable once built; they are safe to
+share across threads, and shards with disjoint sub-seeds can be generated in
+parallel.  ``assemble`` owns the 64/16/20 split and records test examples'
+twins only in ``CorpusBundle.pairs``; the reader, ``io.read_jsonl``, checks
+records against their header.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
-
-from ..checks import real
 
 _TWIN_MARK = "~cf~"
 
@@ -30,7 +29,6 @@ SLOT_KINDS = (
 )
 
 SPLIT_FRACTIONS = (0.64, 0.16, 0.20)
-MAX_TOKENS = 31  # the encoder's default max_len of 32, less CLS
 
 
 class CorpusError(Exception):
@@ -55,26 +53,9 @@ class TaggedToken:
             raise CorpusError(f"unknown slot kind {self.slot!r}")
 
 
-@dataclass
-class Template:
-    """A weighted POMS template or review frame; ``<slot>`` tokens are filled
-    by the generator, every other token is copied as filler."""
-
-    id: int
-    tokens: list[str]
-    weight: float = 1.0
-
-
-def load_templates(records: list[dict]) -> list[Template]:
-    """Templates from their ``{id, tokens, weight}`` JSON records."""
-    return [Template(id=r["id"], tokens=list(r["tokens"]), weight=float(r["weight"])) for r in records]
-
-
-def template_probs(templates: list[Template]) -> np.ndarray:
-    """The probability of drawing each template, proportional to its weight."""
-    weights = np.array([real(t.weight, f"template {t.id} weight", CorpusError, 0.0) for t in templates])
-    if weights.sum() == 0:
-        raise CorpusError("template weights sum to 0")
+def template_probs(weights: list[float]) -> np.ndarray:
+    """The probability of drawing each template or frame, proportional to its weight."""
+    weights = np.array(weights, dtype=float)
     return weights / weights.sum()
 
 
@@ -224,9 +205,6 @@ def assemble(examples: list[Example], meta: BundleMeta,
              twins: Callable[[int, Example], Iterable[Example]]) -> CorpusBundle:
     """The 64/16/20 split of ``examples``, each test example paired with the
     ``twin``-built examples that ``twins(index, example)`` gives for it."""
-    for ex in examples:
-        if len(ex.tokens) > MAX_TOKENS:
-            raise CorpusError(f"example {ex.id}: {len(ex.tokens)} tokens exceeds {MAX_TOKENS}")
     sizes = split_sizes(len(examples))
     n_fit = sizes[0] + sizes[1]
     pairs = [ExamplePair(factual=ex, counterfactual=cf)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..checks import integer, real
-from .vocab import CLS_ID, MASK_ID, PAD_ID, Vocab, encode
+from .vocab import CLS_ID, MASK_ID, PAD_ID, SPECIAL_TOKENS, Vocab, encode
 
 ACTION_MASK, ACTION_KEEP_PREDICT, ACTION_RANDOM = 0, 1, 2
 
@@ -45,13 +45,15 @@ class MaskingPlan:
 
 def _assign_actions(rng: np.random.Generator, positions: np.ndarray, ids: np.ndarray,
                     vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
+    if vocab_size <= len(SPECIAL_TOKENS):
+        raise MaskingError(f"vocabulary of {vocab_size} tokens has no non-special token to draw")
     u = rng.random(len(positions))
     actions = np.where(u < 0.8, ACTION_MASK,
                        np.where(u < 0.9, ACTION_KEEP_PREDICT, ACTION_RANDOM))
     replacements = np.where(actions == ACTION_MASK, MASK_ID, ids[positions])
     random_slots = actions == ACTION_RANDOM
     if random_slots.any():  # an empty draw would leave the stream as is but still costs a call
-        replacements[random_slots] = rng.integers(4, vocab_size, size=int(random_slots.sum()))
+        replacements[random_slots] = rng.integers(len(SPECIAL_TOKENS), vocab_size, size=int(random_slots.sum()))
     return actions, replacements
 
 

@@ -9,13 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conceptfx.corpus import (BiasSpec, BundleMeta, CorpusBundle, CorpusError,
-                              Example, ExamplePair, TaggedToken, Template,
+                              Example, ExamplePair, TaggedToken,
                               UndefinedCorrelationError, adjective_ratio,
-                              apply_ratio_bias, default_lexicons,
-                              delete_adjectives, flip_concept,
+                              apply_ratio_bias, delete_adjectives, flip_concept,
                               generate_poms_corpus, generate_review_corpus,
                               measure_correlation, read_jsonl, write_jsonl)
+from conceptfx.corpus.io import load_data
 from conceptfx.corpus.types import split_sizes, twin_origin
+from conceptfx.model import EncoderConfig
+
+NAMES = load_data("lexicons.json")["names"]
 
 
 def phi_coefficient(pairs):
@@ -99,9 +102,7 @@ class TestPomsGeneration:
         assert a != c
 
     def test_gender_flip_on_simple_template(self):
-        templates = [Template(id=1, tokens=["<person>", "feels", "<emotion>", "."])]
-        bundle = generate_poms_corpus(templates=templates, n=200, seed=4)
-        lex = default_lexicons()
+        bundle = generate_poms_corpus(n=200, seed=4)
         females = [p for p in bundle.pairs
                    if p.concept == "gender"
                    and p.factual.concepts["gender"] == 1
@@ -114,7 +115,7 @@ class TestPomsGeneration:
             factual_names = [t for t in pair.factual.tokens if t.slot == "person-name"]
             assert len(name_tokens) == len(factual_names) == 1
             assert name_tokens[0].surface != factual_names[0].surface
-            assert all(t.surface in lex.names["male"]["european"] for t in name_tokens)
+            assert all(t.surface in NAMES["male"]["european"] for t in name_tokens)
             for ft, ct in zip(pair.factual.tokens, cf.tokens):
                 if ft.slot not in ("person-name", "gender-pronoun"):
                     assert ft == ct
@@ -141,25 +142,6 @@ class TestPomsGeneration:
         with pytest.raises(FrozenInstanceError):
             pair.counterfactual = other.counterfactual
 
-    def test_small_lexicon_cell_rejected(self):
-        lex = default_lexicons()
-        lex.names["female"]["european"] = ["amanda"]
-        with pytest.raises(CorpusError, match="female/european"):
-            generate_poms_corpus(lexicons=lex, n=100, seed=1)
-
-    @pytest.mark.parametrize("key, how", [("places", "all"), ("days", "missing"), ("family", "empty")])
-    def test_missing_filler_rejected(self, key, how):
-        # fillers={} leaked KeyError: 'days' from the template filler.
-        lex = default_lexicons()
-        if how == "all":
-            lex.fillers = {}
-        elif how == "missing":
-            del lex.fillers[key]
-        else:
-            lex.fillers[key] = []
-        with pytest.raises(CorpusError, match=f"'{key}'"):
-            generate_poms_corpus(lexicons=lex, n=50, seed=1)
-
     @pytest.mark.parametrize("concepts", [{"gender": -1, "race": 0}, {"gender": 2, "race": 1},
                                           {"gender": 0, "race": -1}, {"gender": 1, "race": 2}])
     @pytest.mark.parametrize("concept", ["gender", "race"])
@@ -168,21 +150,21 @@ class TestPomsGeneration:
         ex = Example(id="poms-000000", label=0, concepts=concepts,
                      tokens=(TaggedToken("amanda", "person-name"), TaggedToken("smiles", "filler")))
         with pytest.raises(CorpusError, match="0 or 1"):
-            flip_concept(ex, concept, default_lexicons(), seed=0)
+            flip_concept(ex, concept, seed=0)
 
     def test_infeasible_n_rejected(self):
         with pytest.raises(CorpusError, match="infeasible"):
             generate_poms_corpus(n=2, seed=1)
 
-    def test_template_over_the_token_cap_rejected(self):
-        # <person> plus 31 words, before the noise sentence, cannot fit in 31 tokens.
-        templates = [Template(id=1, tokens=["<person>"] + ["word"] * 31)]
-        with pytest.raises(CorpusError, match=r"poms-000000: \d+ tokens exceeds 31"):
-            generate_poms_corpus(templates=templates, n=100, seed=1)
-
-    def test_empty_templates_rejected(self):
-        with pytest.raises(CorpusError):
-            generate_poms_corpus(templates=[], n=100, seed=1)
+    def test_packaged_data_fits_the_encoder_window(self):
+        # Each slot fills one token, so the longest template plus the longest noise
+        # sentence bounds every POMS example; CLS takes one of max_len positions.
+        window = EncoderConfig(vocab_size=5).max_len - 1
+        template = max(len(t["tokens"]) for t in load_data("templates.json")["templates"])
+        noise = max(len(sentence) for sentence in load_data("lexicons.json")["noise_sentences"])
+        frame = max(len(f["tokens"]) for f in load_data("review_grammar.json")["frames"])
+        assert template + noise <= window
+        assert frame <= window
 
     def test_unknown_bias_concept_rejected(self):
         with pytest.raises(CorpusError, match="'topic'"):
@@ -192,18 +174,17 @@ class TestPomsGeneration:
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_flip_involution(self, concept, seed):
-        lex = default_lexicons()
         bundle = generate_poms_corpus(n=10, seed=seed % 100)
         ex = bundle.train[seed % len(bundle.train)]
-        once = flip_concept(ex, concept, lex, seed=seed)
-        twice = flip_concept(once, concept, lex, seed=seed + 1)
+        once = flip_concept(ex, concept, seed=seed)
+        twice = flip_concept(once, concept, seed=seed + 1)
         assert once.concepts[concept] == 1 - ex.concepts[concept]
         assert twice.concepts == ex.concepts
         gender = "female" if ex.concepts["gender"] else "male"
         race = "african_american" if ex.concepts["race"] else "european"
         for orig, back in zip(ex.tokens, twice.tokens):
             if orig.slot == "person-name":
-                assert back.surface in lex.names[gender][race]
+                assert back.surface in NAMES[gender][race]
             else:
                 assert orig == back
 
@@ -251,47 +232,23 @@ class TestReviewGeneration:
         assert np.std(ratios) > 0
 
     def test_planted_topic_rate_matches_recount(self):
-        from conceptfx.corpus.reviews import default_grammar
-        grammar = default_grammar()
+        grammar = load_data("review_grammar.json")
         bundle = generate_review_corpus(n=4000, seed=13)
         # expected P(>=1 in-domain topic word) from the frame distribution
-        weights = np.array([f.weight for f in grammar.frames], dtype=float)
+        weights = np.array([f["weight"] for f in grammar["frames"]], dtype=float)
         probs = weights / weights.sum()
-        rate = grammar.topic_word_rate
-        expected = sum(p * (1 - (1 - rate) ** f.tokens.count("<topic>"))
-                       for p, f in zip(probs, grammar.frames))
+        rate = grammar["topic_word_rate"]
+        expected = sum(p * (1 - (1 - rate) ** f["tokens"].count("<topic>"))
+                       for p, f in zip(probs, grammar["frames"]))
         hits = 0
         for ex in bundle.all_examples():
-            words = set(grammar.topic_words[ex.domain])
+            words = set(grammar["topic_words"][ex.domain])
             hits += any(t.surface in words for t in ex.tokens)
         measured = hits / len(bundle.all_examples())
         assert measured == pytest.approx(expected, abs=0.03)
 
     def test_review_determinism(self):
         assert generate_review_corpus(n=200, seed=3) == generate_review_corpus(n=200, seed=3)
-
-    def test_empty_frame_rejected(self):
-        from conceptfx.corpus.reviews import default_grammar
-        g = default_grammar()
-        g.frames.append(Template(id=99, tokens=["<adj>", "<adj>"]))
-        with pytest.raises(CorpusError, match="zero non-adjective"):
-            generate_review_corpus(grammar=g, n=100, seed=1)
-
-
-    @pytest.mark.parametrize("rate, bare_domain", [(0.85, None), (1.0, "kitchen"), (0.0, "books")])
-    def test_empty_generic_nouns_rejected(self, rate, bare_domain):
-        # A <topic> slot that fell back to no noun leaked numpy's "high <= 0".
-        from conceptfx.corpus.reviews import default_grammar
-        g = replace(default_grammar(), generic_nouns=[], topic_word_rate=rate)
-        if bare_domain:
-            g.topic_words = {**g.topic_words, bare_domain: []}
-        with pytest.raises(CorpusError, match="generic nouns"):
-            generate_review_corpus(grammar=g, n=50, seed=1)
-
-    def test_generic_nouns_unused_at_full_topic_rate(self):
-        from conceptfx.corpus.reviews import default_grammar
-        g = replace(default_grammar(), generic_nouns=[], topic_word_rate=1.0)
-        assert len(generate_review_corpus(grammar=g, n=50, seed=1).all_examples()) >= 50
 
 
 class TestRatioBias:
@@ -341,6 +298,12 @@ class TestRatioBias:
             return phi_coefficient(pts)
         biased = apply_ratio_bias(bundle, "gentle")
         assert r_of(biased) > r_of(bundle)
+
+    def test_poms_bundle_rejected(self):
+        # A POMS bundle came back 181 of 200 examples labelled gentle, with "anger"
+        # (label 0) rows deleted by a ratio that is 0 for every example.
+        with pytest.raises(CorpusError, match=r"needs the labels \['negative', 'positive'\], got \['anger'"):
+            apply_ratio_bias(generate_poms_corpus(n=200, seed=1), "gentle")
 
     def test_empty_stratum_rejected(self):
         bundle, _ = self._toy_bundle([0.4], [])

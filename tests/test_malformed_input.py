@@ -3,14 +3,12 @@ entry points, raise the package's typed errors."""
 
 import json
 import struct
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from conceptfx.checkpoint import CheckpointError, load_checkpoint
-from conceptfx.corpus import (CorpusError, Template, default_grammar, default_lexicons, flip_concept,
-                              generate_poms_corpus, generate_review_corpus, read_jsonl, write_jsonl)
+from conceptfx.corpus import (CorpusError, flip_concept, generate_poms_corpus, generate_review_corpus,
+                              read_jsonl, write_jsonl)
 from conceptfx.model import EncoderConfig, EncoderError, HeadError, HeadSet, init_encoder_params
 
 
@@ -98,6 +96,7 @@ def _set(index, key, value):
     (_header("concepts", ["gender", 1]), "line 1: .*concepts .* is not a list of strings"),
     (_header("seed", "x"), "line 1: .*seed 'x' is not an int"),
     (_header("seed", True), "line 1: .*seed True is not an int"),
+    (_header("seed", -5), "line 1: .*seed -5 is not an int >= 0"),
     (_header("bias_version", 7), "line 1: .*unknown bias_version 7"),
     (_header("provenance", [["a", 1]]), r"line 1: .*provenance \[\['a', 1\]\] is not an object"),
     (lambda lines: lines.__setitem__(2, "[1]"), "line 3: record must be a JSON object"),
@@ -115,7 +114,7 @@ def _set(index, key, value):
     (_set(-1, "id", "poms-000049~cf~weather"), "line 71: .*'weather' is not a header concept"),
     (_twin_of_train_row, "line 71: .*twins line 2, not a test example"),
 ], ids=["no-seed", "string-provenance", "list-header", "string-label-names", "string-domains",
-        "int-in-concepts", "string-seed", "bool-seed", "int-bias-version", "list-provenance",
+        "int-in-concepts", "string-seed", "bool-seed", "negative-seed", "int-bias-version", "list-provenance",
         "list-record", "list-concepts",
         "list-id", "unmarked-twin", "label-99", "non-binary-concept", "missing-concept", "unknown-factual",
         "schema-1", "uppercase-surface", "repeated-factual", "repeated-twin",
@@ -135,27 +134,17 @@ def test_read_jsonl_rejects_malformed_file(tmp_path, corrupt, match):
     (lambda: HeadSet().add_seq("t", 4, 2, -1), HeadError, "seed must be"),
     (lambda: generate_poms_corpus(n=50, seed=-1), CorpusError, "seed must be"),
     (lambda: generate_review_corpus(n=50, seed=-1), CorpusError, "seed must be"),
-    (lambda: flip_concept(generate_poms_corpus(n=50, seed=8).test[0], "gender", default_lexicons(), seed=-1),
+    (lambda: flip_concept(generate_poms_corpus(n=50, seed=8).test[0], "gender", seed=-1),
      CorpusError, "seed must be"),
     (lambda: generate_review_corpus(n="x"), CorpusError, "n must be an integer >= 2, got 'x'"),
     (lambda: generate_poms_corpus(n="x"), CorpusError, "n must be an integer >= 0, got 'x'"),
     (lambda: generate_poms_corpus(n=50, seed=np.int64(3)), CorpusError,
      "seed must be an integer >= 0"),
-    (lambda: generate_poms_corpus(templates=[Template(1, ["<person>", "smiles"], weight=0.0)], n=50),
-     CorpusError, "template weights sum to 0"),
-    (lambda: generate_poms_corpus(templates=[Template(1, ["<person>", "smiles"], weight=-1.0)], n=50),
-     CorpusError, r"template 1 weight must be a real number in \[0, inf\), got -1.0"),
-    (lambda: generate_review_corpus(
-        grammar=replace(default_grammar(), frames=[replace(default_grammar().frames[0], weight=0.0)]), n=50),
-     CorpusError, "template weights sum to 0"),
-    (lambda: generate_review_corpus(grammar=replace(default_grammar(), topic_word_rate="x"), n=50),
-     CorpusError, r"topic_word_rate must be a real number in \[0, 1\], got 'x'"),
 ], ids=["encoder-seed", "head-seed", "poms-seed", "review-seed", "flip-seed", "review-n", "poms-n",
-        "numpy-seed", "zero-weight", "negative-weight", "zero-weight-frame", "string-topic-word-rate"])
+        "numpy-seed"])
 def test_public_entry_points_reject_bad_seed_and_size(call, error, match):
-    # The seeds leaked numpy's ValueError ("expected non-negative integer"), n="x" and
-    # topic_word_rate="x" a TypeError, a numpy seed a TypeError only in write_jsonl, and
-    # zero weights numpy's "Probabilities contain NaN"; a negative weight passed.
+    # The seeds leaked numpy's ValueError ("expected non-negative integer"), n="x" a
+    # TypeError, and a numpy seed a TypeError only in write_jsonl.
     with pytest.raises(error, match=match):
         call()
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from conceptfx import autodiff as ad
-from conceptfx.corpus import TaggedToken, Example, default_lexicons, generate_poms_corpus
-from conceptfx.model import (CLS_ID, MASK_ID, PAD_ID, UNK_ID, EncoderConfig,
+from conceptfx.corpus import TaggedToken, Example, generate_poms_corpus
+from conceptfx.model import (CLS_ID, MASK_ID, PAD_ID, SPECIAL_TOKENS, UNK_ID, EncoderConfig,
                              HeadSet, MaskingError, Vocab, build_vocab,
                              encode, encode_batch, encoder_forward,
                              feature_dim, ima_mask, init_encoder_params,
@@ -145,6 +145,12 @@ class TestMlmMask:
         with pytest.raises(MaskingError):
             mlm_mask(ids, vocab, rate=0.5, seed=0)
 
+    def test_specials_only_vocab_rejected(self):
+        # 13 of these 20 seeds drew a random token and leaked numpy's "low >= high".
+        for seed in range(20):
+            with pytest.raises(MaskingError, match="no non-special token"):
+                mlm_mask(np.array([CLS_ID] + [UNK_ID] * 7), Vocab(list(SPECIAL_TOKENS)), rate=1.0, seed=seed)
+
 
 def _adjective_example(n_adj, n_other, id="ex"):
     tokens = tuple(TaggedToken(f"adj{i}", "adjective") for i in range(n_adj)) + \
@@ -186,6 +192,10 @@ class TestImaMask:
             ones += int(plan.binary_targets.sum())
             zeros += int((plan.binary_targets == 0).sum())
         assert ones / (ones + zeros) == pytest.approx(0.5, abs=0.01)
+
+    def test_specials_only_vocab_rejected(self):
+        with pytest.raises(MaskingError, match="no non-special token"):
+            ima_mask(_adjective_example(2, 8), Vocab(list(SPECIAL_TOKENS)), seed=0, max_len=16)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "x", True])
     def test_seed_must_be_a_non_negative_integer(self, seed):

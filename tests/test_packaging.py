@@ -1,5 +1,6 @@
-"""Every console script that pyproject.toml declares can be imported, and
-``conceptfx.checks`` holds the package's only argument rule."""
+"""Every console script that pyproject.toml declares can be imported, every
+name a package exports resolves, and ``conceptfx.checks`` holds the
+package's only argument rule."""
 
 import ast
 import importlib
@@ -18,6 +19,13 @@ def test_project_scripts_resolve():
     for name, target in scripts.items():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr)), name
+
+
+@pytest.mark.parametrize("package", ["conceptfx.corpus", "conceptfx.model"])
+def test_exported_names_resolve(package):
+    # A stale name in __all__ breaks only ``from package import *``.
+    module = importlib.import_module(package)
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
 def _imports(path: Path) -> set[str]:
