@@ -9,7 +9,8 @@ tensor, ``{name, shape, dtype}``, and ``sha256``, a digest of the tensors and th
 config.  The blob is the tensors' little-endian values back to back in manifest
 order, so a tensor's offset is the size of the tensors before it.  Loading
 rejects a blob shorter or longer than its tensors and a ``sha256`` that does not
-match.  Values and shapes (0-d ones too) round-trip bit-exactly.
+match, and a shape dimension that ``checks.integer`` does not take as an
+integer >= 0.  Values and shapes (0-d ones too) round-trip bit-exactly.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+
+from .checks import integer
 
 _DTYPES = {"<f4": np.dtype("<f4"), "<f8": np.dtype("<f8")}
 
@@ -64,10 +67,6 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], config: dict | None = N
         raise
 
 
-def _is_count(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
-
-
 def _layout(path, index: int, entry) -> tuple[str, np.dtype, tuple[int, ...]]:
     """Validated ``(name, dtype, shape)`` of one manifest entry."""
     if not isinstance(entry, dict):
@@ -81,9 +80,10 @@ def _layout(path, index: int, entry) -> tuple[str, np.dtype, tuple[int, ...]]:
     dtype = _DTYPES.get(tag) if isinstance(tag, str) else None
     if dtype is None:
         raise CheckpointError(f"{path}: tensor {name!r}: unsupported dtype {tag!r}")
-    if not isinstance(shape, list) or not all(_is_count(d) for d in shape):
-        raise CheckpointError(f"{path}: tensor {name!r}: shape {shape!r} is not a list of counts")
-    return name, dtype, tuple(shape)
+    if not isinstance(shape, list):
+        raise CheckpointError(f"{path}: tensor {name!r}: shape {shape!r} is not a list")
+    return name, dtype, tuple(integer(d, f"{path}: tensor {name!r}: shape[{i}]", CheckpointError)
+                              for i, d in enumerate(shape))
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:

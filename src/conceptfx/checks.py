@@ -4,7 +4,9 @@ An integer is a Python ``int``: the only integer JSON can hold, so a seed or
 size that passes is one a corpus header or checkpoint can store.  A numpy
 integer or a ``bool`` is not one.  A real is any ``numbers.Real`` but a
 ``bool``, inside the stated interval, so NaN never passes.  A failed check
-raises the caller's typed error naming the argument.
+raises the caller's typed error naming the argument.  The same rule covers
+the integer fields of both stored formats: a corpus file's seed, labels and
+concept bits, and a checkpoint's shape dimensions.
 """
 
 from __future__ import annotations

@@ -10,6 +10,10 @@ column of its own, is rejected.  Counterfactual twins are stored with
 ``split="cf"`` after every factual example, under the ids that
 ``types.twin`` gives them: a twin's id, ``<factual-id>~cf~<concept>``, is the
 only record of its pair.
+
+The reader rejects a record the writer could not have written: a label or
+concept bit that is not a JSON integer in range (``checks.integer``: no float,
+no string, no ``true``), or a domain that is neither a string nor null.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import json
 from importlib import resources
 from pathlib import Path
 
+from ..checks import integer
 from .types import (BIAS_VERSIONS, BundleMeta, CorpusBundle, CorpusError, Example,
                     ExamplePair, SLOT_KINDS, TaggedToken, twin_origin)
 
@@ -70,25 +75,21 @@ def _parse_example(record: dict, meta: BundleMeta) -> Example:
     try:
         if not isinstance(record["id"], str):
             raise CorpusError(f"example id must be a string, got {record['id']!r}")
+        where = f"example {record['id']}"
         tokens = tuple(TaggedToken(t["t"], t["s"]) for t in record["tokens"])
-        ex = Example(
-            id=record["id"],
-            tokens=tokens,
-            label=int(record["label"]),
-            concepts={str(k): int(v) for k, v in record["concepts"].items()},
-            domain=record["domain"],
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        label = integer(record["label"], f"{where}: label", CorpusError, high=len(meta.label_names))
+        concepts = dict(record["concepts"].items())
+        domain = record["domain"]
+    except (AttributeError, KeyError, TypeError) as e:
         raise CorpusError(f"malformed example record: {e!r}") from e
-    if not 0 <= ex.label < len(meta.label_names):
-        raise CorpusError(f"example {ex.id}: label {ex.label} out of range")
     for concept in meta.concepts:
-        if concept not in ex.concepts:
-            raise CorpusError(f"example {ex.id}: missing concept {concept!r}")
-    for concept, value in ex.concepts.items():
-        if value not in (0, 1):
-            raise CorpusError(f"example {ex.id}: concept {concept!r} not binary")
-    return ex
+        if concept not in concepts:
+            raise CorpusError(f"{where}: missing concept {concept!r}")
+    for concept, value in concepts.items():
+        integer(value, f"{where}: concept {concept!r}", CorpusError, high=2)
+    if domain is not None and not isinstance(domain, str):
+        raise CorpusError(f"{where}: domain must be a string or null, got {domain!r}")
+    return Example(id=record["id"], tokens=tokens, label=label, concepts=concepts, domain=domain)
 
 
 def _parse_header(header: dict) -> BundleMeta:
@@ -102,8 +103,7 @@ def _parse_header(header: dict) -> BundleMeta:
     except KeyError as e:
         raise bad(f"missing {e}") from e
     provenance = header.get("provenance", {})
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise bad(f"seed {seed!r} is not an int >= 0")
+    integer(seed, "line 1: malformed header: seed", CorpusError)
     if version not in BIAS_VERSIONS:
         raise bad(f"unknown bias_version {version!r}")
     for key, value in lists.items():

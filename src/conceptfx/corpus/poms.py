@@ -64,11 +64,9 @@ _NOISE_PROBS = {label: _noise_probs(label) for label in POMS_LABELS}
 
 
 def _name_cell(concepts: Mapping[str, int]) -> list[str]:
-    """The names of a person with these ``gender`` and ``race`` bits."""
-    bits = {concept: concepts[concept] for concept in _CONCEPTS}
-    if any(bit not in (0, 1) for bit in bits.values()):
-        raise CorpusError(f"person concepts must be 0 or 1, got {bits}")
-    return _LEXICONS["names"][_GENDERS[int(bits["gender"])]][_RACES[int(bits["race"])]]
+    """The names of a person with these ``gender`` and ``race`` bits, each an int 0 or 1."""
+    gender, race = (integer(concepts.get(c), f"person concept {c!r}", CorpusError, high=2) for c in _CONCEPTS)
+    return _LEXICONS["names"][_GENDERS[gender]][_RACES[race]]
 
 
 def _fill_template(tokens: list[str], name: str, gender: int, emotion: str | None,
@@ -136,6 +134,7 @@ def flip_concept(example: Example, concept: str, seed: int) -> Example:
         raise CorpusError(f"cannot flip concept {concept!r}")
     integer(seed, "seed", CorpusError)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 2, _CONCEPTS.index(concept) + 1)))
+    _name_cell(example.concepts)  # the factual's bits, before one is flipped
     concepts = {**example.concepts, concept: 1 - example.concepts[concept]}
     cell = _name_cell(concepts)
     new_name = cell[rng.integers(len(cell))]
@@ -163,11 +162,7 @@ def generate_poms_corpus(bias: BiasSpec | None = None, n: int = 8000, seed: int 
     if bias.concept not in _CONCEPTS:
         raise CorpusError(f"unsupported bias concept {bias.concept!r} for a mood-state corpus")
     integer(seed, "seed", CorpusError)
-    integer(n, "n", CorpusError)
-    if n < len(POMS_LABELS):
-        raise CorpusError(
-            f"bias probabilities infeasible for n={n}: need at least one example per label "
-            f"({len(POMS_LABELS)} labels)")
+    integer(n, "n", CorpusError, low=len(POMS_LABELS))
 
     examples = [_build_example(i, seed, bias) for i in range(n)]
 

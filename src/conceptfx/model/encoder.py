@@ -100,8 +100,6 @@ def encoder_forward(ids: np.ndarray, params: dict[str, ad.Tensor], config: Encod
     if mode not in ("train", "eval"):
         raise EncoderError(f"unknown mode {mode!r}")
     p = config.dropout if mode == "train" else 0.0
-    if p > 0.0 and dropout_rng is None:
-        raise EncoderError(f"train mode with dropout {p} needs a dropout_rng")
     ids = np.asarray(ids)
     if ids.ndim != 2 or not 0 < ids.shape[1] <= config.max_len:
         raise EncoderError(f"ids must be [B, 0 < L <= {config.max_len}], got {ids.shape}")

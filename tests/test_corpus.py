@@ -143,17 +143,21 @@ class TestPomsGeneration:
             pair.counterfactual = other.counterfactual
 
     @pytest.mark.parametrize("concepts", [{"gender": -1, "race": 0}, {"gender": 2, "race": 1},
-                                          {"gender": 0, "race": -1}, {"gender": 1, "race": 2}])
+                                          {"gender": 0, "race": -1}, {"gender": 1, "race": 2},
+                                          {"gender": 1}, {"race": 1}])
     @pytest.mark.parametrize("concept", ["gender", "race"])
     def test_flip_rejects_non_binary_concepts(self, concepts, concept):
-        # gender=-1 drew a female name and kept -1; gender=2 leaked IndexError.
+        # gender=-1 drew a female name and kept -1; gender=2 leaked IndexError; a
+        # missing concept leaked a raw KeyError.
         ex = Example(id="poms-000000", label=0, concepts=concepts,
                      tokens=(TaggedToken("amanda", "person-name"), TaggedToken("smiles", "filler")))
-        with pytest.raises(CorpusError, match="0 or 1"):
+        bad = next(c for c in ("gender", "race") if concepts.get(c) not in (0, 1))
+        with pytest.raises(CorpusError, match=rf"person concept '{bad}' must be an integer in \[0, 2\), "
+                                              rf"got {concepts.get(bad)}"):
             flip_concept(ex, concept, seed=0)
 
     def test_infeasible_n_rejected(self):
-        with pytest.raises(CorpusError, match="infeasible"):
+        with pytest.raises(CorpusError, match="n must be an integer >= 4, got 2"):
             generate_poms_corpus(n=2, seed=1)
 
     def test_packaged_data_fits_the_encoder_window(self):

@@ -94,17 +94,18 @@ def _set(index, key, value):
     (_header("label_names", "abcd"), "line 1: .*label_names 'abcd' is not a list of strings"),
     (_header("domains", "ab"), "line 1: .*domains 'ab' is not a list of strings"),
     (_header("concepts", ["gender", 1]), "line 1: .*concepts .* is not a list of strings"),
-    (_header("seed", "x"), "line 1: .*seed 'x' is not an int"),
-    (_header("seed", True), "line 1: .*seed True is not an int"),
-    (_header("seed", -5), "line 1: .*seed -5 is not an int >= 0"),
+    (_header("seed", "x"), "line 1: malformed header: seed must be an integer >= 0, got 'x'"),
+    (_header("seed", True), "line 1: malformed header: seed must be an integer >= 0, got True"),
+    (_header("seed", -5), "line 1: malformed header: seed must be an integer >= 0, got -5"),
     (_header("bias_version", 7), "line 1: .*unknown bias_version 7"),
     (_header("provenance", [["a", 1]]), r"line 1: .*provenance \[\['a', 1\]\] is not an object"),
     (lambda lines: lines.__setitem__(2, "[1]"), "line 3: record must be a JSON object"),
     (_list_concepts, r"line \d+: malformed example record"),
     (_list_id, r"line \d+: example id must be a string"),
     (_unmarked_twin, "lacks the ~cf~<concept> suffix"),
-    (_set(1, "label", 99), "line 2: example poms-000000: label 99 out of range"),
-    (_set(1, "concepts", {"gender": 7, "race": 0}), "line 2: .*concept 'gender' not binary"),
+    (_set(1, "label", 99), r"line 2: example poms-000000: label must be an integer in \[0, 4\), got 99"),
+    (_set(1, "concepts", {"gender": 7, "race": 0}),
+     r"line 2: example poms-000000: concept 'gender' must be an integer in \[0, 2\), got 7"),
     (_set(1, "concepts", {"gender": 1}), "line 2: .*missing concept 'race'"),
     (_set(-1, "id", "poms-999999~cf~race"), "line 71: .*unknown example 'poms-999999'"),
     (_schema_1, "line 1: unsupported schema_version 1"),
@@ -113,12 +114,21 @@ def _set(index, key, value):
     (lambda lines: lines.append(lines[-1]), r"line 72: .*'poms-000049~cf~race' already appears on line 71"),
     (_set(-1, "id", "poms-000049~cf~weather"), "line 71: .*'weather' is not a header concept"),
     (_twin_of_train_row, "line 71: .*twins line 2, not a test example"),
+    (_set(1, "label", 1.9), r"line 2: example poms-000000: label must be an integer in \[0, 4\), got 1\.9"),
+    (_set(1, "label", "2"), r"line 2: example poms-000000: label must be an integer in \[0, 4\), got '2'"),
+    (_set(1, "label", True), r"line 2: example poms-000000: label must be an integer in \[0, 4\), got True"),
+    (_set(1, "concepts", {"gender": 0.7, "race": 0}),
+     r"line 2: example poms-000000: concept 'gender' must be an integer in \[0, 2\), got 0\.7"),
+    (_set(1, "concepts", {"gender": 0, "race": True}),
+     r"line 2: example poms-000000: concept 'race' must be an integer in \[0, 2\), got True"),
+    (_set(1, "domain", 5), "line 2: example poms-000000: domain must be a string or null, got 5"),
 ], ids=["no-seed", "string-provenance", "list-header", "string-label-names", "string-domains",
         "int-in-concepts", "string-seed", "bool-seed", "negative-seed", "int-bias-version", "list-provenance",
         "list-record", "list-concepts",
         "list-id", "unmarked-twin", "label-99", "non-binary-concept", "missing-concept", "unknown-factual",
         "schema-1", "uppercase-surface", "repeated-factual", "repeated-twin",
-        "twin-of-unknown-concept", "twin-of-train-row"])
+        "twin-of-unknown-concept", "twin-of-train-row", "float-label", "string-label", "bool-label",
+        "float-concept", "bool-concept", "int-domain"])
 def test_read_jsonl_rejects_malformed_file(tmp_path, corrupt, match):
     path = tmp_path / "corpus.jsonl"
     write_jsonl(generate_poms_corpus(n=50, seed=8), path)
@@ -137,7 +147,7 @@ def test_read_jsonl_rejects_malformed_file(tmp_path, corrupt, match):
     (lambda: flip_concept(generate_poms_corpus(n=50, seed=8).test[0], "gender", seed=-1),
      CorpusError, "seed must be"),
     (lambda: generate_review_corpus(n="x"), CorpusError, "n must be an integer >= 2, got 'x'"),
-    (lambda: generate_poms_corpus(n="x"), CorpusError, "n must be an integer >= 0, got 'x'"),
+    (lambda: generate_poms_corpus(n="x"), CorpusError, "n must be an integer >= 4, got 'x'"),
     (lambda: generate_poms_corpus(n=50, seed=np.int64(3)), CorpusError,
      "seed must be an integer >= 0"),
 ], ids=["encoder-seed", "head-seed", "poms-seed", "review-seed", "flip-seed", "review-n", "poms-n",
@@ -164,8 +174,8 @@ def _entry(**overrides):
     ({"tensors": [_entry(name=["w"])]}, "entry 0 has a non-string name"),
     ({"tensors": [_entry(dtype=["<f4"])]}, "tensor 'w': unsupported dtype"),
     ({"tensors": [_entry(shape="ab")]}, "tensor 'w': shape 'ab'"),
-    ({"tensors": [_entry(shape=[2.0])]}, "tensor 'w': shape"),
-    ({"tensors": [_entry(shape=[-2])]}, "tensor 'w': shape"),
+    ({"tensors": [_entry(shape=[2.0])]}, r"tensor 'w': shape\[0\] must be an integer >= 0, got 2\.0"),
+    ({"tensors": [_entry(shape=[-2])]}, r"tensor 'w': shape\[0\] must be an integer >= 0, got -2"),
     ({"tensors": [_entry(shape=[3])]}, "tensor 'w' overruns blob"),
 ], ids=["no-tensors", "list-manifest", "tensor-dict", "list-entry", "no-shape", "list-name",
         "list-dtype", "string-shape", "float-shape", "negative-shape", "overrun"])

@@ -239,7 +239,7 @@ class TestEncoder:
         from conceptfx.model.encoder import EncoderError
         vocab, config, params = self._setup()
         ids, _ = encode_batch([_adjective_example(1, 5)], vocab, config.max_len)
-        with pytest.raises(EncoderError, match="needs a dropout_rng"):
+        with pytest.raises(EncoderError, match="dropout with p > 0 requires a DropoutRng"):
             encoder_forward(ids, params, config, mode="train")
 
     def test_pad_tail_invariance(self):

@@ -39,9 +39,22 @@ def _imports(path: Path) -> set[str]:
     return names
 
 
+def _tests_for_bool(path: Path) -> bool:
+    """Whether ``path`` calls ``isinstance(x, bool)``, alone or in a tuple of types."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
+            types = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            if any(getattr(t, "id", None) == "bool" for t in types):
+                return True
+    return False
+
+
 def test_checks_is_the_only_argument_rule():
-    # A module that imports ``numbers`` writes its own integer or real rule.
+    # A module that imports ``numbers`` or tells a ``bool`` from an ``int`` writes its
+    # own integer or real rule.
     assert not any(name.startswith("conceptfx") for name in _imports(PACKAGE / "checks.py"))
-    users = sorted(path.relative_to(PACKAGE).as_posix() for path in PACKAGE.rglob("*.py")
-                   if "numbers" in _imports(path))
+    modules = sorted(PACKAGE.rglob("*.py"))
+    users = [path.relative_to(PACKAGE).as_posix() for path in modules if "numbers" in _imports(path)]
+    assert users == ["checks.py"]
+    users = [path.relative_to(PACKAGE).as_posix() for path in modules if _tests_for_bool(path)]
     assert users == ["checks.py"]
