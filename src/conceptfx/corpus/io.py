@@ -3,17 +3,20 @@
 Line 1 is a header ``{schema_version, seed, bias_version, concepts,
 label_names, domains, provenance}``; every following line is one example
 ``{id, split, label, domain, concepts, tokens}`` with tokens encoded as
-``{"t": surface, "s": slot}``.  Keys are emitted in exactly this order and
-surfaces are lowercase UTF-8, so identical bundles serialize to identical
-bytes.  This is schema 2; a schema 1 file, which also stored each pair in a
-column of its own, is rejected.  Counterfactual twins are stored with
-``split="cf"`` after every factual example, under the ids that
-``types.twin`` gives them: a twin's id, ``<factual-id>~cf~<concept>``, is the
-only record of its pair.
+``{"t": surface, "s": slot}``, keys in exactly this order, so identical
+bundles serialize to identical bytes.  Twins follow every factual example
+with ``split="cf"`` and the id ``types.twin`` gives them,
+``<factual-id>~cf~<concept>``, the only record of a pair.
 
-The reader rejects a record the writer could not have written: a label or
-concept bit that is not a JSON integer in range (``checks.integer``: no float,
-no string, no ``true``), or a domain that is neither a string nor null.
+The reader is the one check on stored data and rejects what the writer cannot
+write.  Header: schema 2 (schema 1 also kept a pair column), a seed >= 0, a
+known bias version, string lists of concepts, label names and domains, and an
+object as provenance.  Record: a known split, a new string id, one or more
+tokens with non-empty lowercase surfaces and slots in ``SLOT_KINDS``, a label
+in range, exactly the header's concepts as 0/1 bits, and one of the header's
+domains, or null if it lists none.  Twin: a header concept and an earlier test
+factual whose label, domain and other bits it keeps.  Every integer passes
+``checks.integer``: no float, no string, no ``true``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from pathlib import Path
 
 from ..checks import integer
 from .types import (BIAS_VERSIONS, BundleMeta, CorpusBundle, CorpusError, Example,
-                    ExamplePair, SLOT_KINDS, TaggedToken, twin_origin)
+                    ExamplePair, SLOT_KINDS, TaggedToken, twin, twin_origin)
 
 SCHEMA_VERSION = 2
 
@@ -82,13 +85,19 @@ def _parse_example(record: dict, meta: BundleMeta) -> Example:
         domain = record["domain"]
     except (AttributeError, KeyError, TypeError) as e:
         raise CorpusError(f"malformed example record: {e!r}") from e
-    for concept in meta.concepts:
-        if concept not in concepts:
-            raise CorpusError(f"{where}: missing concept {concept!r}")
+    if not tokens:
+        raise CorpusError(f"{where}: no tokens")
+    for surface, slot in tokens:
+        if not isinstance(surface, str) or not surface or surface != surface.lower():
+            raise CorpusError(f"token surface {surface!r} is empty or not lowercase")
+        if slot not in SLOT_KINDS:
+            raise CorpusError(f"unknown slot kind {slot!r}")
+    if concepts.keys() != set(meta.concepts):
+        raise CorpusError(f"{where}: concepts {sorted(concepts)} are not the header's {meta.concepts}")
     for concept, value in concepts.items():
         integer(value, f"{where}: concept {concept!r}", CorpusError, high=2)
-    if domain is not None and not isinstance(domain, str):
-        raise CorpusError(f"{where}: domain must be a string or null, got {domain!r}")
+    if domain not in (meta.domains or [None]):
+        raise CorpusError(f"{where}: domain {domain!r} is not one of {meta.domains or [None]}")
     return Example(id=record["id"], tokens=tokens, label=label, concepts=concepts, domain=domain)
 
 
@@ -116,8 +125,7 @@ def _parse_header(header: dict) -> BundleMeta:
 
 def read_jsonl(path) -> CorpusBundle:
     """Parse a corpus file; malformed lines raise with their line number."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
         raise CorpusError(f"{path}: empty file, expected a header line")
     try:
@@ -159,7 +167,12 @@ def read_jsonl(path) -> CorpusBundle:
             elif factual_id not in splits["test"]:
                 raise CorpusError(f"counterfactual {ex.id!r} twins line {id_lines[factual_id]}, not a test example")
             else:
-                pairs.append(ExamplePair(factual=splits["test"][factual_id], counterfactual=ex))
+                factual = splits["test"][factual_id]
+                if ex.label != factual.label:
+                    raise CorpusError(f"pair for {factual_id}: labels differ")
+                if ex != twin(factual, concept, ex.tokens, {**factual.concepts, concept: ex.concepts[concept]}):
+                    raise CorpusError(f"pair for {factual_id}: its domain or a concept but {concept!r} differs")
+                pairs.append(ExamplePair(factual=factual, counterfactual=ex))
         except CorpusError as e:
             raise CorpusError(f"line {line_no}: {e}") from e
     return CorpusBundle(**{split: list(examples.values()) for split, examples in splits.items()},

@@ -16,8 +16,6 @@ sub-seeds.
 
 from __future__ import annotations
 
-from typing import Mapping
-
 import numpy as np
 
 from ..checks import integer
@@ -30,9 +28,9 @@ _CONCEPTS = ("gender", "race")
 _AMBIGUOUS_RATE = 0.15  # share of emotion slots given a word shared with another label
 _NOISE_BOOST = 5.0
 
+_LEXICONS = load_data("lexicons.json")
 # Each table is indexed by a concept bit: gender=1 is female, race=1 African-American.
-_GENDERS = ("male", "female")
-_RACES = ("european", "african_american")
+_NAMES = [[_LEXICONS["names"][g][r] for r in ("european", "african_american")] for g in ("male", "female")]
 _PRONOUNS = {"<pron>": ("he", "she"), "<refl>": ("himself", "herself")}
 _PRONOUN_FORMS = {form: forms for forms in _PRONOUNS.values() for form in forms}
 
@@ -46,7 +44,6 @@ _FILLER_SLOTS = {
     "<family>": "family",
 }
 
-_LEXICONS = load_data("lexicons.json")
 _TEMPLATES = load_data("templates.json")["templates"]
 _TEMPLATE_PROBS = template_probs([t["weight"] for t in _TEMPLATES])
 _NOISE = _LEXICONS["noise_sentences"]
@@ -61,12 +58,6 @@ def _noise_probs(label: str) -> np.ndarray:
 
 
 _NOISE_PROBS = {label: _noise_probs(label) for label in POMS_LABELS}
-
-
-def _name_cell(concepts: Mapping[str, int]) -> list[str]:
-    """The names of a person with these ``gender`` and ``race`` bits, each an int 0 or 1."""
-    gender, race = (integer(concepts.get(c), f"person concept {c!r}", CorpusError, high=2) for c in _CONCEPTS)
-    return _LEXICONS["names"][_GENDERS[gender]][_RACES[race]]
 
 
 def _fill_template(tokens: list[str], name: str, gender: int, emotion: str | None,
@@ -98,7 +89,7 @@ def _build_example(index: int, seed: int, bias: BiasSpec) -> Example:
     other = _CONCEPTS[1 - _CONCEPTS.index(bias.concept)]
     concepts = {bias.concept: int(rng.random() < bias.label_probs[label]),
                 other: int(rng.random() < 0.5)}
-    cell = _name_cell(concepts)
+    cell = _NAMES[concepts["gender"]][concepts["race"]]
     name = cell[rng.integers(len(cell))]
 
     template = _TEMPLATES[rng.choice(len(_TEMPLATES), p=_TEMPLATE_PROBS)]["tokens"]
@@ -134,9 +125,10 @@ def flip_concept(example: Example, concept: str, seed: int) -> Example:
         raise CorpusError(f"cannot flip concept {concept!r}")
     integer(seed, "seed", CorpusError)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 2, _CONCEPTS.index(concept) + 1)))
-    _name_cell(example.concepts)  # the factual's bits, before one is flipped
+    for c in _CONCEPTS:  # the factual's bits, before one is flipped
+        integer(example.concepts.get(c), f"person concept {c!r}", CorpusError, high=2)
     concepts = {**example.concepts, concept: 1 - example.concepts[concept]}
-    cell = _name_cell(concepts)
+    cell = _NAMES[concepts["gender"]][concepts["race"]]
     new_name = cell[rng.integers(len(cell))]
 
     tokens = []

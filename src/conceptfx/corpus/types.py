@@ -4,15 +4,15 @@ Bundles are generated from the packaged corpus data as pure functions of
 (bias, n, seed) and are treated as immutable once built; they are safe to
 share across threads, and shards with disjoint sub-seeds can be generated in
 parallel.  ``assemble`` owns the 64/16/20 split and records test examples'
-twins only in ``CorpusBundle.pairs``; the reader, ``io.read_jsonl``, checks
-records against their header.
+twins only in ``CorpusBundle.pairs``.  These records carry no checks of their
+own: stored ones are checked where they enter, by ``io.read_jsonl``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -39,18 +39,11 @@ class UndefinedCorrelationError(CorpusError):
     """Concept or label has zero variance, so correlation is undefined."""
 
 
-@dataclass(frozen=True)
-class TaggedToken:
+class TaggedToken(NamedTuple):
     """One non-empty lowercase surface token plus its generated ground-truth slot kind."""
 
     surface: str
     slot: str
-
-    def __post_init__(self):
-        if not self.surface or self.surface != self.surface.lower():
-            raise CorpusError(f"token surface {self.surface!r} is empty or not lowercase")
-        if self.slot not in SLOT_KINDS:
-            raise CorpusError(f"unknown slot kind {self.slot!r}")
 
 
 def template_probs(weights: list[float]) -> np.ndarray:
@@ -83,12 +76,6 @@ class ExamplePair:
     factual: Example
     counterfactual: Example
 
-    def __post_init__(self):
-        if twin_origin(self.counterfactual.id)[0] != self.factual.id:
-            raise CorpusError(f"pair for {self.factual.id}: {self.counterfactual.id!r} is not its twin")
-        if self.factual.label != self.counterfactual.label:
-            raise CorpusError(f"pair for {self.factual.id}: labels differ")
-
     @property
     def concept(self) -> str:
         """The concept the twin intervenes on, read off its id."""
@@ -119,7 +106,7 @@ _POMS_LADDER = {"balanced": (0.5, 0.5), "gentle": (0.9, 0.5), "aggressive": (0.9
 BIAS_VERSIONS = tuple(_POMS_LADDER)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BiasSpec:
     """How much concept-label correlation to inject into a corpus.
 

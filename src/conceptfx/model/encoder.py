@@ -27,7 +27,7 @@ class EncoderError(Exception):
         self.layer = layer
 
 
-@dataclass
+@dataclass(frozen=True)
 class EncoderConfig:
     vocab_size: int
     layers: int = 2

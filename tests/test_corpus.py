@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conceptfx.corpus import (BiasSpec, BundleMeta, CorpusBundle, CorpusError,
-                              Example, ExamplePair, TaggedToken,
+                              Example, TaggedToken,
                               UndefinedCorrelationError, adjective_ratio,
                               apply_ratio_bias, delete_adjectives, flip_concept,
                               generate_poms_corpus, generate_review_corpus,
                               measure_correlation, read_jsonl, write_jsonl)
 from conceptfx.corpus.io import load_data
+from conceptfx.corpus.poms import _FILLER_SLOTS, _PRONOUNS
 from conceptfx.corpus.types import split_sizes, twin_origin
 from conceptfx.model import EncoderConfig
 
@@ -130,15 +131,9 @@ class TestPomsGeneration:
         assert by_concept["gender"] == test_ids
         assert by_concept["race"] == test_ids
 
-    def test_mismatched_pair_rejected_at_construction(self):
+    def test_pair_fields_are_frozen(self):
         bundle = generate_poms_corpus(n=50, seed=2)
         pair, other = bundle.pairs[0], bundle.pairs[-1]
-        assert other.factual.id != pair.factual.id
-        with pytest.raises(CorpusError, match="is not its twin"):
-            ExamplePair(factual=pair.factual, counterfactual=other.counterfactual)
-        relabelled = replace(pair.counterfactual, label=pair.factual.label + 1)
-        with pytest.raises(CorpusError, match="labels differ"):
-            ExamplePair(factual=pair.factual, counterfactual=relabelled)
         with pytest.raises(FrozenInstanceError):
             pair.counterfactual = other.counterfactual
 
@@ -169,6 +164,26 @@ class TestPomsGeneration:
         frame = max(len(f["tokens"]) for f in load_data("review_grammar.json")["frames"])
         assert template + noise <= window
         assert frame <= window
+
+    def test_packaged_surfaces_are_lowercase_words(self):
+        # A generated token is not checked when it is built, so every surface the
+        # generators can emit must be a non-empty lowercase string here.  Template
+        # and frame placeholders are included: they are lowercase too.
+        lex, grammar = load_data("lexicons.json"), load_data("review_grammar.json")
+        surfaces = [
+            *(name for races in lex["names"].values() for cell in races.values() for name in cell),
+            *(word for words in lex["emotions"].values() for word in words),
+            *(entry["word"] for entry in lex["ambiguous_emotions"]),
+            *(word for sentence in lex["noise_sentences"] for word in sentence),
+            *(word for key in _FILLER_SLOTS.values() for word in lex[key]),
+            *(word for t in load_data("templates.json")["templates"] for word in t["tokens"]),
+            *(form for forms in _PRONOUNS.values() for form in forms), "a", "an",
+            *(word for words in grammar["adjectives"].values() for word in words),
+            *(word for words in grammar["topic_words"].values() for word in words),
+            *grammar["generic_nouns"],
+            *(word for frame in grammar["frames"] for word in frame["tokens"]),
+        ]
+        assert [s for s in surfaces if not isinstance(s, str) or not s or s != s.lower()] == []
 
     def test_unknown_bias_concept_rejected(self):
         with pytest.raises(CorpusError, match="'topic'"):

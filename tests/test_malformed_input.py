@@ -1,14 +1,15 @@
 """Malformed corpus and checkpoint files, and bad seeds or sizes at the public
 entry points, raise the package's typed errors."""
 
+import dataclasses
 import json
 import struct
 import numpy as np
 import pytest
 
 from conceptfx.checkpoint import CheckpointError, load_checkpoint
-from conceptfx.corpus import (CorpusError, flip_concept, generate_poms_corpus, generate_review_corpus,
-                              read_jsonl, write_jsonl)
+from conceptfx.corpus import (BiasSpec, CorpusError, flip_concept, generate_poms_corpus,
+                              generate_review_corpus, read_jsonl, write_jsonl)
 from conceptfx.model import EncoderConfig, EncoderError, HeadError, HeadSet, init_encoder_params
 
 
@@ -76,6 +77,24 @@ def _twin_of_train_row(lines):
     lines[-1] = json.dumps(record)
 
 
+def _twin(change):
+    """Corrupter that applies ``change`` to the last record, the twin poms-000049~cf~race."""
+    def corrupt(lines):
+        record = json.loads(lines[-1])
+        change(record)
+        lines[-1] = json.dumps(record)
+    return corrupt
+
+
+def _twin_in_other_domain(lines):
+    """Every record in the header domain books, but the last twin in dvd."""
+    _header("domains", ["books", "dvd"])(lines)
+    for i, line in enumerate(lines[1:], start=1):
+        record = json.loads(line)
+        record["domain"] = "dvd" if i == len(lines) - 1 else "books"
+        lines[i] = json.dumps(record)
+
+
 def _set(index, key, value):
     """Corrupter that sets ``key`` in the record on ``lines[index]``."""
     def corrupt(lines):
@@ -106,7 +125,8 @@ def _set(index, key, value):
     (_set(1, "label", 99), r"line 2: example poms-000000: label must be an integer in \[0, 4\), got 99"),
     (_set(1, "concepts", {"gender": 7, "race": 0}),
      r"line 2: example poms-000000: concept 'gender' must be an integer in \[0, 2\), got 7"),
-    (_set(1, "concepts", {"gender": 1}), "line 2: .*missing concept 'race'"),
+    (_set(1, "concepts", {"gender": 1}),
+     r"line 2: example poms-000000: concepts \['gender'\] are not the header's \['gender', 'race'\]"),
     (_set(-1, "id", "poms-999999~cf~race"), "line 71: .*unknown example 'poms-999999'"),
     (_schema_1, "line 1: unsupported schema_version 1"),
     (_uppercase_surface, "line 3: token surface '[A-Z]+' is empty or not lowercase"),
@@ -121,14 +141,25 @@ def _set(index, key, value):
      r"line 2: example poms-000000: concept 'gender' must be an integer in \[0, 2\), got 0\.7"),
     (_set(1, "concepts", {"gender": 0, "race": True}),
      r"line 2: example poms-000000: concept 'race' must be an integer in \[0, 2\), got True"),
-    (_set(1, "domain", 5), "line 2: example poms-000000: domain must be a string or null, got 5"),
+    (_set(1, "domain", 5), r"line 2: example poms-000000: domain 5 is not one of \[None\]"),
+    (_twin(lambda r: r.update(label=(r["label"] + 1) % 4)), "line 71: pair for poms-000049: labels differ"),
+    (_set(1, "concepts", {"age": 1, "gender": 0, "race": 0}),
+     r"line 2: example poms-000000: concepts \['age', 'gender', 'race'\] "
+     r"are not the header's \['gender', 'race'\]"),
+    (_twin_in_other_domain, "line 71: pair for poms-000049: its domain or a concept but 'race' differs"),
+    (_twin(lambda r: r["concepts"].update(gender=1 - r["concepts"]["gender"])),
+     "line 71: pair for poms-000049: its domain or a concept but 'race' differs"),
+    (_set(1, "domain", "books"), r"line 2: example poms-000000: domain 'books' is not one of \[None\]"),
+    (_set(1, "tokens", []), "line 2: example poms-000000: no tokens"),
+    (_set(1, "tokens", [{"t": "she", "s": "pronoun"}]), "line 2: unknown slot kind 'pronoun'"),
 ], ids=["no-seed", "string-provenance", "list-header", "string-label-names", "string-domains",
         "int-in-concepts", "string-seed", "bool-seed", "negative-seed", "int-bias-version", "list-provenance",
         "list-record", "list-concepts",
         "list-id", "unmarked-twin", "label-99", "non-binary-concept", "missing-concept", "unknown-factual",
         "schema-1", "uppercase-surface", "repeated-factual", "repeated-twin",
         "twin-of-unknown-concept", "twin-of-train-row", "float-label", "string-label", "bool-label",
-        "float-concept", "bool-concept", "int-domain"])
+        "float-concept", "bool-concept", "int-domain", "twin-label", "unknown-concept", "twin-domain",
+        "twin-other-concept", "unknown-domain", "no-tokens", "unknown-slot"])
 def test_read_jsonl_rejects_malformed_file(tmp_path, corrupt, match):
     path = tmp_path / "corpus.jsonl"
     write_jsonl(generate_poms_corpus(n=50, seed=8), path)
@@ -157,6 +188,19 @@ def test_public_entry_points_reject_bad_seed_and_size(call, error, match):
     # TypeError, and a numpy seed a TypeError only in write_jsonl.
     with pytest.raises(error, match=match):
         call()
+
+
+@pytest.mark.parametrize("config, field, value, error, match", [
+    (BiasSpec.poms("gentle"), "version", "bogus", CorpusError, "unknown bias version 'bogus'"),
+    (EncoderConfig(vocab_size=10), "dim", 65, EncoderError, "dim 65 not divisible by heads 4"),
+], ids=["bias-spec", "encoder-config"])
+def test_validated_configs_are_frozen(config, field, value, error, match):
+    # Assigning a field skipped the check: version "bogus" leaked KeyError from
+    # generate_poms_corpus, and dim 65 with 4 heads was accepted.
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(config, field, value)
+    with pytest.raises(error, match=match):
+        dataclasses.replace(config, **{field: value})
 
 
 def _entry(**overrides):
