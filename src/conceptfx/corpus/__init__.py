@@ -7,7 +7,7 @@ own bias, and ``bias`` measures it.
 
 from .bias import measure_correlation
 from .io import read_jsonl, write_jsonl
-from .poms import POMS_LABELS, flip_concept, generate_poms_corpus
+from .poms import POMS_LABELS, expected_correlation, flip_concept, generate_poms_corpus
 from .reviews import (DEFAULT_DOMAINS, REVIEW_LABELS, adjective_ratio, apply_ratio_bias,
                       delete_adjectives, generate_review_corpus)
 from .types import (BiasSpec, BundleMeta, CorpusBundle, CorpusError, Example,
@@ -20,6 +20,6 @@ __all__ = [
     "POMS_LABELS", "REVIEW_LABELS", "DEFAULT_DOMAINS",
     "generate_poms_corpus", "generate_review_corpus",
     "flip_concept", "delete_adjectives", "adjective_ratio",
-    "apply_ratio_bias", "measure_correlation",
+    "apply_ratio_bias", "expected_correlation", "measure_correlation",
     "read_jsonl", "write_jsonl", "split_sizes",
 ]

@@ -6,21 +6,17 @@ from __future__ import annotations
 from .types import CorpusBundle, CorpusError, UndefinedCorrelationError
 
 
-def measure_correlation(bundle: CorpusBundle, concept: str,
-                        target_label: str | None = None) -> float:
+def measure_correlation(bundle: CorpusBundle, concept: str, target_label: str) -> float:
     """Pearson correlation of a binary concept with the binarized label.
 
-    The label is binarized as target-class-vs-rest (``joy`` for mood-state
-    corpora, the positive class for sentiment) over train, dev, and test
-    combined.  Raises ``UndefinedCorrelationError`` when either variable has
+    The label is binarized as ``target_label``-vs-rest over train, dev, and
+    test combined.  Raises ``UndefinedCorrelationError`` when either variable has
     zero variance.
     """
     examples = bundle.all_examples()
     if not examples:
         raise CorpusError("cannot measure correlation of an empty corpus")
     names = bundle.meta.label_names
-    if target_label is None:
-        target_label = "joy" if "joy" in names else names[-1]
     if target_label not in names:
         raise CorpusError(f"unknown target label {target_label!r}")
     target = names.index(target_label)

@@ -9,9 +9,8 @@ female name (and matching pronouns), ``race=1`` means an African-American name.
 
 The templates and word lists are the packaged ``data/templates.json`` and
 ``data/lexicons.json``, read once at import.  Generation is a pure function
-of (bias, n, seed): every example and every counterfactual twin draws from its
-own sub-seeded stream, so shards can be generated in parallel with disjoint
-sub-seeds.
+of (bias, n, seed): every example draws from its own ``(seed, index)`` stream,
+and every counterfactual twin from a stream sub-seeded the same way.
 """
 
 from __future__ import annotations
@@ -59,6 +58,26 @@ def _noise_probs(label: str) -> np.ndarray:
 
 _NOISE_PROBS = {label: _noise_probs(label) for label in POMS_LABELS}
 
+# The bias ladder: version -> (P(concept=1 | joy), P(concept=1 | any other label)).
+# balanced is uniform; gentle raises joy to 0.9; aggressive also lowers the rest to 0.1.
+_LADDER = {"balanced": (0.5, 0.5), "gentle": (0.9, 0.5), "aggressive": (0.9, 0.1)}
+# version -> P(concept=1 | label), in POMS_LABELS order.
+_LABEL_PROBS = {version: tuple(p_joy if label == "joy" else p_other for label in POMS_LABELS)
+                for version, (p_joy, p_other) in _LADDER.items()}
+
+
+def expected_correlation(bias: BiasSpec) -> float:
+    """Pearson correlation of ``bias.concept`` with joy-vs-rest that the rung
+    implies for uniformly drawn labels."""
+    probs = _LABEL_PROBS[bias.version]
+    k = len(probs)
+    e_c = sum(probs) / k
+    e_y = 1.0 / k
+    cov = probs[POMS_LABELS.index("joy")] / k - e_c * e_y
+    var_c = e_c * (1 - e_c)
+    var_y = e_y * (1 - e_y)
+    return cov / (var_c * var_y) ** 0.5
+
 
 def _fill_template(tokens: list[str], name: str, gender: int, emotion: str | None,
                    rng: np.random.Generator) -> list[TaggedToken]:
@@ -81,13 +100,13 @@ def _fill_template(tokens: list[str], name: str, gender: int, emotion: str | Non
     return out
 
 
-def _build_example(index: int, seed: int, bias: BiasSpec) -> Example:
+def _build_example(index: int, seed: int, concept: str, label_probs: tuple[float, ...]) -> Example:
     rng = np.random.default_rng(np.random.SeedSequence((seed, 1, index)))
     label_idx = int(rng.integers(len(POMS_LABELS)))
     label = POMS_LABELS[label_idx]
 
-    other = _CONCEPTS[1 - _CONCEPTS.index(bias.concept)]
-    concepts = {bias.concept: int(rng.random() < bias.label_probs[label]),
+    other = _CONCEPTS[1 - _CONCEPTS.index(concept)]
+    concepts = {concept: int(rng.random() < label_probs[label_idx]),
                 other: int(rng.random() < 0.5)}
     cell = _NAMES[concepts["gender"]][concepts["race"]]
     name = cell[rng.integers(len(cell))]
@@ -145,8 +164,8 @@ def flip_concept(example: Example, concept: str, seed: int) -> Example:
 def generate_poms_corpus(bias: BiasSpec | None = None, n: int = 8000, seed: int = 212) -> CorpusBundle:
     """Generate a mood-state corpus with counterfactual twins for the test set.
 
-    The measured concept-label correlation is checked against the value the
-    bias specification implies whenever the corpus is large enough (n >= 2000)
+    The measured concept-label correlation is checked against
+    ``expected_correlation(bias)`` whenever the corpus is large enough (n >= 2000)
     for the sample correlation to be meaningful.  The tolerance is 5/sqrt(n),
     about five standard deviations of the sample correlation on every rung.
     """
@@ -156,7 +175,8 @@ def generate_poms_corpus(bias: BiasSpec | None = None, n: int = 8000, seed: int 
     integer(seed, "seed", CorpusError)
     integer(n, "n", CorpusError, low=len(POMS_LABELS))
 
-    examples = [_build_example(i, seed, bias) for i in range(n)]
+    label_probs = _LABEL_PROBS[bias.version]
+    examples = [_build_example(i, seed, bias.concept, label_probs) for i in range(n)]
 
     def twins(index: int, ex: Example) -> list[Example]:
         flip_seed = int(np.random.SeedSequence((seed, 3, index)).generate_state(1)[0])
@@ -175,7 +195,7 @@ def generate_poms_corpus(bias: BiasSpec | None = None, n: int = 8000, seed: int 
     if n >= 2000:
         from .bias import measure_correlation
         measured = measure_correlation(bundle, bias.concept, target_label="joy")
-        expected = bias.expected_correlation("joy")
+        expected = expected_correlation(bias)
         tolerance = 5 / n ** 0.5
         if abs(measured - expected) > tolerance:
             raise CorpusError(

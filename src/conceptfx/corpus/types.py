@@ -2,8 +2,8 @@
 
 Bundles are generated from the packaged corpus data as pure functions of
 (bias, n, seed) and are treated as immutable once built; they are safe to
-share across threads, and shards with disjoint sub-seeds can be generated in
-parallel.  ``assemble`` owns the 64/16/20 split and records test examples'
+share across threads, and every example draws from its own ``(seed, index)``
+stream.  ``assemble`` owns the 64/16/20 split and records test examples'
 twins only in ``CorpusBundle.pairs``.  These records carry no checks of their
 own: stored ones are checked where they enter, by ``io.read_jsonl``.
 """
@@ -101,18 +101,16 @@ def twin_origin(twin_id: str) -> tuple[str, str]:
     return factual_id, concept
 
 
-# version -> (P(concept=1 | joy), P(concept=1 | any other mood-state label))
-_POMS_LADDER = {"balanced": (0.5, 0.5), "gentle": (0.9, 0.5), "aggressive": (0.9, 0.1)}
-BIAS_VERSIONS = tuple(_POMS_LADDER)
+BIAS_VERSIONS = ("balanced", "gentle", "aggressive")
 
 
 @dataclass(frozen=True)
 class BiasSpec:
     """How much concept-label correlation to inject into a corpus.
 
-    POMS-style corpora use ``label_probs`` (probability that the concept takes
-    value 1 given each label, read off the version's ladder rung); review-style
-    corpora (concept ``adjectives``) delete examples sorted by their adjective ratio.
+    ``version`` names a rung of the bias ladder; each generator defines what
+    a rung means for its corpus (``poms`` per-label concept probabilities,
+    ``reviews`` deletion of examples sorted by their adjective ratio).
     """
 
     version: str
@@ -124,35 +122,12 @@ class BiasSpec:
 
     @classmethod
     def poms(cls, version: str, concept: str = "gender") -> "BiasSpec":
-        """Standard mood-state bias ladder for a binary person concept.
-
-        balanced: concept drawn uniformly for every label.  gentle: ``joy``
-        is 90% concept=1, other labels stay 50/50.  aggressive: ``joy`` is
-        90% concept=1 and the other labels drop to 10%.
-        """
+        """A mood-state rung for a binary person concept."""
         return cls(version=version, concept=concept)
 
     @classmethod
     def reviews(cls, version: str) -> "BiasSpec":
         return cls(version=version, concept="adjectives")
-
-    @property
-    def label_probs(self) -> dict[str, float]:
-        p_joy, p_other = _POMS_LADDER[self.version]
-        return {"joy": p_joy, **{label: p_other for label in ("anger", "sadness", "fear")}}
-
-    def expected_correlation(self, target_label: str) -> float:
-        """Pearson correlation implied by ``label_probs`` with uniform labels."""
-        probs = self.label_probs
-        if target_label not in probs:
-            raise CorpusError(f"unknown target label {target_label!r}")
-        k = len(probs)
-        e_c = sum(probs.values()) / k
-        e_y = 1.0 / k
-        cov = probs[target_label] / k - e_c * e_y
-        var_c = e_c * (1 - e_c)
-        var_y = e_y * (1 - e_y)
-        return cov / (var_c * var_y) ** 0.5
 
 
 @dataclass

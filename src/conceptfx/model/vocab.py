@@ -52,22 +52,24 @@ def encode(tokens, vocab: Vocab, max_len: int) -> tuple[np.ndarray, bool]:
     count truncations.  Out-of-vocabulary tokens map to UNK.
     """
     integer(max_len, "max_len", VocabError, low=1)  # room for CLS
-    surfaces = [t.surface if hasattr(t, "surface") else t for t in tokens]
-    truncated = len(surfaces) > max_len - 1
-    ids = np.full(max_len, PAD_ID, dtype=np.int64)
-    ids[0] = CLS_ID
-    for i, tok in enumerate(surfaces[:max_len - 1]):
-        ids[i + 1] = vocab.get(tok)
-    return ids, truncated
+    ids = np.empty(max_len, dtype=np.int64)
+    return ids, _fill(ids, tokens, vocab)
 
 
 def encode_batch(examples, vocab: Vocab, max_len: int) -> tuple[np.ndarray, int]:
     """Encode a list of examples; returns (ids[B, L], truncation count)."""
     integer(max_len, "max_len", VocabError, low=1)  # room for CLS
     ids = np.empty((len(examples), max_len), dtype=np.int64)
-    truncations = 0
-    for i, ex in enumerate(examples):
-        row, truncated = encode(ex.tokens, vocab, max_len)
-        ids[i] = row
-        truncations += int(truncated)
+    truncations = sum(_fill(row, ex.tokens, vocab) for row, ex in zip(ids, examples))
     return ids, truncations
+
+
+def _fill(row: np.ndarray, tokens, vocab: Vocab) -> bool:
+    """Write ``tokens`` (surfaces or tagged tokens) encoded into ``row``;
+    returns whether they were truncated."""
+    surfaces = [t.surface if hasattr(t, "surface") else t for t in tokens]
+    row[:] = PAD_ID
+    row[0] = CLS_ID
+    for i, tok in enumerate(surfaces[:len(row) - 1]):
+        row[i + 1] = vocab.get(tok)
+    return len(surfaces) > len(row) - 1

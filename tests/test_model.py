@@ -51,6 +51,20 @@ class TestVocab:
         with pytest.raises(VocabError, match="max_len must be an integer >= 1"):
             call(_toy_vocab())
 
+    def test_encode_batch_checks_max_len_once(self, monkeypatch):
+        # Each row's encode call re-checked it: 1,281 checks for 1,280 rows.
+        from conceptfx.model import vocab as vocab_module
+        bundle = generate_poms_corpus(n=2000, seed=1)
+        vocab = build_vocab(bundle)
+        calls = []
+        check = vocab_module.integer
+        monkeypatch.setattr(vocab_module, "integer", lambda *a, **k: calls.append(a) or check(*a, **k))
+        ids, truncations = encode_batch(bundle.train, vocab, 32)
+        assert len(bundle.train) == 1280 and len(calls) == 1
+        rows = [encode(ex.tokens, vocab, 32) for ex in bundle.train]
+        assert ids.tolist() == [row.tolist() for row, _ in rows]
+        assert truncations == sum(truncated for _, truncated in rows)
+
     def test_vocab_covers_train_lexicon_words(self):
         bundle = generate_poms_corpus(n=600, seed=3)
         vocab = build_vocab(bundle)

@@ -1,6 +1,7 @@
 """Every console script that pyproject.toml declares can be imported, every
-name a package exports resolves, and ``conceptfx.checks`` holds the
-package's only argument rule."""
+name a package exports resolves, ``conceptfx.checks`` holds the package's
+only argument rule, and ``corpus/poms.py`` is the only module naming a POMS
+label."""
 
 import ast
 import importlib
@@ -58,3 +59,19 @@ def test_checks_is_the_only_argument_rule():
     assert users == ["checks.py"]
     users = [path.relative_to(PACKAGE).as_posix() for path in modules if _tests_for_bool(path)]
     assert users == ["checks.py"]
+
+
+POMS_LABELS = {"anger", "sadness", "fear", "joy"}
+
+
+def _names_a_poms_label(path: Path) -> bool:
+    """Whether ``path`` holds a string literal that is a POMS label."""
+    return any(isinstance(node, ast.Constant) and node.value in POMS_LABELS
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+
+
+def test_poms_is_the_only_module_naming_a_poms_label():
+    # The bias ladder indexes these labels, so it lives next to them.
+    users = [path.relative_to(PACKAGE).as_posix() for path in sorted(PACKAGE.rglob("*.py"))
+             if _names_a_poms_label(path)]
+    assert users == ["corpus/poms.py"]
