@@ -10,7 +10,8 @@ female name (and matching pronouns), ``race=1`` means an African-American name.
 The templates and word lists are the packaged ``data/templates.json`` and
 ``data/lexicons.json``, read once at import.  Generation is a pure function
 of (bias, n, seed): every example draws from its own ``(seed, index)`` stream,
-and every counterfactual twin from a stream sub-seeded the same way.
+and every counterfactual twin from one derived from ``(seed, index)`` and its
+concept.
 """
 
 from __future__ import annotations
