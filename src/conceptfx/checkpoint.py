@@ -4,13 +4,14 @@ A checkpoint file is::
 
     [u64 little-endian manifest length][manifest JSON, UTF-8][raw value blob]
 
-The manifest holds an optional structured ``config`` block, one entry per
-tensor, ``{name, shape, dtype}``, and ``sha256``, a digest of the tensors and the
-config.  The blob is the tensors' little-endian values back to back in manifest
-order, so a tensor's offset is the size of the tensors before it.  Loading
-rejects a blob shorter or longer than its tensors and a ``sha256`` that does not
-match, and a shape dimension that ``checks.integer`` does not take as an
-integer >= 0.  Values and shapes (0-d ones too) round-trip bit-exactly.
+The manifest holds a ``config`` JSON object, one entry per tensor, ``{name,
+shape, dtype}``, and ``sha256``, a digest of the tensors and the config.  The
+blob is the tensors' little-endian values back to back in manifest order, so a
+tensor's offset is the size of the tensors before it.  Loading rejects a blob
+shorter or longer than its tensors, a ``sha256`` that does not match, a repeated
+tensor name, a config that is not a JSON object, and a shape dimension that
+``checks.integer`` does not take as an integer >= 0.  Values and shapes (0-d
+ones too) round-trip bit-exactly.
 """
 
 from __future__ import annotations
@@ -35,12 +36,15 @@ class CheckpointError(Exception):
 
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray], config: dict | None = None) -> None:
-    """Write named arrays plus a JSON config block to ``path``.
+    """Write named arrays plus a config dict (``None`` stores ``{}``) to ``path``.
 
     The file is written under a temporary name in the same directory and
     then renamed over ``path``, so a failed save leaves any earlier file at
     ``path`` intact and no temporary file behind.
     """
+    config = {} if config is None else config
+    if not isinstance(config, dict):
+        raise CheckpointError(f"config must be a dict, got {type(config).__name__}")
     stored = {}
     for name in sorted(arrays):
         arr = np.asarray(arrays[name], order="C")
@@ -49,7 +53,6 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], config: dict | None = N
             raise CheckpointError(f"unsupported checkpoint dtype {arr.dtype}")
     entries = [{"name": name, "shape": list(arr.shape), "dtype": arr.dtype.str}
                for name, arr in stored.items()]
-    config = config or {}
     manifest = json.dumps({"config": config, "tensors": entries, "sha256": _seal(stored, config)},
                           sort_keys=True, separators=(",", ":")).encode("utf-8")
     path = Path(path)
@@ -105,6 +108,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     start = 0
     for index, entry in enumerate(manifest["tensors"]):
         name, dtype, shape = _layout(path, index, entry)
+        if name in arrays:
+            raise CheckpointError(f"{path}: tensor {name!r} is named twice")
         end = start + math.prod(shape) * dtype.itemsize
         if end > len(blob):
             raise CheckpointError(f"{path}: tensor {name!r} overruns blob")
@@ -112,7 +117,9 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         start = end
     if start != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - start} bytes after the last tensor")
-    config = manifest.get("config", {})
+    config = manifest.get("config")
+    if not isinstance(config, dict):
+        raise CheckpointError(f"{path}: manifest config {config!r} is not a JSON object")
     if manifest.get("sha256") != _seal(arrays, config):
         raise CheckpointError(f"{path}: tensors and config do not match the manifest's sha256")
     return arrays, config

@@ -108,36 +108,38 @@ def encoder_forward(ids: np.ndarray, params: dict[str, ad.Tensor], config: Encod
 
     layer = -1  # the embeddings; block i is layer i and the pooler is config.layers
     try:
-        pad_bias = np.where(ids == PAD_ID, ATTN_MASK_BIAS, 0.0).astype(params["emb.tok"].dtype)
-        attn_bias = ad.Tensor(pad_bias[:, None, None, :])
-        x = ad.embedding(params["emb.tok"], ids)
-        x = ad.add(x, ad.embedding(params["emb.pos"], np.arange(L)))
-        x = ad.layer_norm(x, params["emb.ln_g"], params["emb.ln_b"])
-        x = ad.dropout(x, p, dropout_rng)
+        # Each op's finiteness check reports an inf or NaN; a numpy warning would pre-empt it.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            pad_bias = np.where(ids == PAD_ID, ATTN_MASK_BIAS, 0.0).astype(params["emb.tok"].dtype)
+            attn_bias = ad.Tensor(pad_bias[:, None, None, :])
+            x = ad.embedding(params["emb.tok"], ids)
+            x = ad.add(x, ad.embedding(params["emb.pos"], np.arange(L)))
+            x = ad.layer_norm(x, params["emb.ln_g"], params["emb.ln_b"])
+            x = ad.dropout(x, p, dropout_rng)
 
-        for layer in range(config.layers):
-            prefix = f"layer{layer}."
-            q = ad.matmul(x, params[prefix + "attn.wq"], params[prefix + "attn.bq"])
-            k = ad.matmul(x, params[prefix + "attn.wk"], params[prefix + "attn.bk"])
-            v = ad.matmul(x, params[prefix + "attn.wv"], params[prefix + "attn.bv"])
-            q = ad.transpose(ad.reshape(q, (B, L, config.heads, config.head_dim)), (0, 2, 1, 3))
-            k = ad.transpose(ad.reshape(k, (B, L, config.heads, config.head_dim)), (0, 2, 3, 1))
-            v = ad.transpose(ad.reshape(v, (B, L, config.heads, config.head_dim)), (0, 2, 1, 3))
-            scores = ad.add(ad.scale(ad.matmul(q, k), scale), attn_bias)
-            attn = ad.dropout(ad.softmax(scores), p, dropout_rng)
-            ctx = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)), (B, L, config.dim))
-            out = ad.dropout(ad.matmul(ctx, params[prefix + "attn.wo"], params[prefix + "attn.bo"]),
-                             p, dropout_rng)
-            x = ad.layer_norm(ad.add(x, out), params[prefix + "ln1_g"], params[prefix + "ln1_b"])
-            # feed-forward
-            h = ad.gelu(ad.matmul(x, params[prefix + "ffn.w1"], params[prefix + "ffn.b1"]))
-            o = ad.dropout(ad.matmul(h, params[prefix + "ffn.w2"], params[prefix + "ffn.b2"]),
-                           p, dropout_rng)
-            x = ad.layer_norm(ad.add(x, o), params[prefix + "ln2_g"], params[prefix + "ln2_b"])
+            for layer in range(config.layers):
+                prefix = f"layer{layer}."
+                q = ad.matmul(x, params[prefix + "attn.wq"], params[prefix + "attn.bq"])
+                k = ad.matmul(x, params[prefix + "attn.wk"], params[prefix + "attn.bk"])
+                v = ad.matmul(x, params[prefix + "attn.wv"], params[prefix + "attn.bv"])
+                q = ad.transpose(ad.reshape(q, (B, L, config.heads, config.head_dim)), (0, 2, 1, 3))
+                k = ad.transpose(ad.reshape(k, (B, L, config.heads, config.head_dim)), (0, 2, 3, 1))
+                v = ad.transpose(ad.reshape(v, (B, L, config.heads, config.head_dim)), (0, 2, 1, 3))
+                scores = ad.add(ad.scale(ad.matmul(q, k), scale), attn_bias)
+                attn = ad.dropout(ad.softmax(scores), p, dropout_rng)
+                ctx = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)), (B, L, config.dim))
+                out = ad.dropout(ad.matmul(ctx, params[prefix + "attn.wo"], params[prefix + "attn.bo"]),
+                                 p, dropout_rng)
+                x = ad.layer_norm(ad.add(x, out), params[prefix + "ln1_g"], params[prefix + "ln1_b"])
+                # feed-forward
+                h = ad.gelu(ad.matmul(x, params[prefix + "ffn.w1"], params[prefix + "ffn.b1"]))
+                o = ad.dropout(ad.matmul(h, params[prefix + "ffn.w2"], params[prefix + "ffn.b2"]),
+                               p, dropout_rng)
+                x = ad.layer_norm(ad.add(x, o), params[prefix + "ln2_g"], params[prefix + "ln2_b"])
 
-        layer = config.layers
-        cls_state = ad.gather_positions(x, np.arange(B), np.zeros(B, dtype=np.int64))
-        pooled = ad.tanh(ad.matmul(cls_state, params["pooler.w"], params["pooler.b"]))
+            layer = config.layers
+            cls_state = ad.gather_positions(x, np.arange(B), np.zeros(B, dtype=np.int64))
+            pooled = ad.tanh(ad.matmul(cls_state, params["pooler.w"], params["pooler.b"]))
     except ad.AutodiffError as e:
         raise EncoderError(str(e), layer=layer) from e
     except KeyError as e:

@@ -24,15 +24,15 @@ class OptimError(Exception):
 class Adam:
     """Bias-corrected Adam over named ``Tensor`` parameters.
 
-    ``m`` and ``v`` hold each parameter's moments from its first step with
-    a gradient; ``t`` counts steps, including those a parameter sat out.
+    ``m`` and ``v`` hold a zero-initialised moment for every parameter, keyed
+    like ``params``; ``t`` counts steps, including those a parameter sat out.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
         self.lr = real(lr, "learning rate", OptimError, 0.0, low_open=True)
-        self.params = params
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.params = dict(params)
+        self.m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
+        self.v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
         self.t = 0
 
     def step(self):
@@ -53,13 +53,7 @@ class Adam:
         bc1 = 1.0 - _BETA1**self.t
         bc2 = 1.0 - _BETA2**self.t
         for name, p in live:
-            g = p.grad
-            m = self.m.get(name)
-            if m is None:
-                m = self.m[name] = np.zeros_like(p.data)
-            v = self.v.get(name)
-            if v is None:
-                v = self.v[name] = np.zeros_like(p.data)
+            g, m, v = p.grad, self.m[name], self.v[name]
             m *= _BETA1
             m += (1.0 - _BETA1) * g
             v *= _BETA2

@@ -25,9 +25,8 @@ drew, and the fit has the same bytes.
 
 from __future__ import annotations
 
-import warnings
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +52,6 @@ class TopicModel:
     doc_ids: list[str]
     theta: np.ndarray          # [D, T] document-topic proportions, rows sum to 1
     topic_word: np.ndarray     # [T, V] topic-word distributions, rows sum to 1
-    empty_docs: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -81,9 +79,8 @@ def fit_lda(docs, T: int, alpha: float | None = None, beta: float = 0.01,
             iters: int = 500, seed: int = 0, doc_ids=None) -> TopicModel:
     """Collapsed Gibbs sampling with p(z=k) ~ (n_dk+a)(n_kw+b)/(n_k+Vb).
 
-    ``alpha`` defaults to ``50/T``.  Documents that are empty after
-    tokenization are excluded from fitting (with a warning) and receive a
-    uniform topic row.
+    ``alpha`` defaults to ``50/T``.  Every document must hold at least one
+    token: no documents, or an empty one, raises ``TopicError``.
     """
     integer(T, "topic count T", TopicError, low=1)
     if alpha is None:
@@ -103,9 +100,11 @@ def fit_lda(docs, T: int, alpha: float | None = None, beta: float = 0.01,
         doc_ids = [f"doc-{i}" for i in range(len(docs))]
     if len(doc_ids) != len(docs):
         raise TopicError("doc_ids must align with docs")
-    empty = [doc_ids[i] for i, doc in enumerate(docs) if not doc]
-    if empty:
-        warnings.warn(f"{len(empty)} empty documents excluded from topic fitting", stacklevel=2)
+    if not docs:
+        raise TopicError("no documents to fit")
+    for doc_id, doc in zip(doc_ids, docs):
+        if not doc:
+            raise TopicError(f"document {doc_id!r} is empty")
 
     try:
         vocab = sorted({w for doc in docs for w in doc})
@@ -113,8 +112,6 @@ def fit_lda(docs, T: int, alpha: float | None = None, beta: float = 0.01,
         raise TopicError(f"tokens must be hashable and sortable together: {e}") from e
     word_id = {w: i for i, w in enumerate(vocab)}
     V = len(vocab)
-    if V == 0:
-        raise TopicError("no tokens in any document")
     encoded = [[word_id[w] for w in doc] for doc in docs]
     D = len(docs)
     doc_lens = [len(doc) for doc in encoded]
@@ -163,12 +160,11 @@ def fit_lda(docs, T: int, alpha: float | None = None, beta: float = 0.01,
             _check_counts(n_dk, n_wk, n_k, doc_lens, sweep + 1)
     _check_counts(n_dk, n_wk, n_k, doc_lens, iters)
 
-    lens = np.array(doc_lens, dtype=float)[:, None]
-    theta = np.where(lens > 0, (np.array(n_dk, dtype=float) + alpha) / (lens + T * alpha), 1.0 / T)
+    theta = (np.array(n_dk) + alpha) / (np.array(doc_lens, dtype=float)[:, None] + T * alpha)
     topic_word = (np.ascontiguousarray(np.array(n_wk).T) + beta) / (np.array(n_k)[:, None] + vbeta)
     return TopicModel(T=T, alpha=alpha, beta=beta, iters=iters, seed=seed,
                       vocab=vocab, doc_ids=list(doc_ids), theta=theta,
-                      topic_word=topic_word, empty_docs=empty)
+                      topic_word=topic_word)
 
 
 def fit_lda_corpus(bundle, T: int, iters: int = 500, seed: int = 0) -> TopicModel:

@@ -2,12 +2,13 @@
 entry points, raise the package's typed errors."""
 
 import dataclasses
+import hashlib
 import json
 import struct
 import numpy as np
 import pytest
 
-from conceptfx.checkpoint import CheckpointError, load_checkpoint
+from conceptfx.checkpoint import CheckpointError, checkpoint_hash, load_checkpoint, save_checkpoint
 from conceptfx.corpus import (BiasSpec, CorpusError, flip_concept, generate_poms_corpus,
                               generate_review_corpus, read_jsonl, write_jsonl)
 from conceptfx.model import EncoderConfig, EncoderError, HeadError, HeadSet, init_encoder_params
@@ -209,6 +210,12 @@ def _entry(**overrides):
     return {k: v for k, v in entry.items() if v is not None}
 
 
+def _sealed(manifest, config, arrays):
+    """``manifest`` with the ``sha256`` a loader computes for ``arrays`` and ``config``."""
+    seal = hashlib.sha256((checkpoint_hash(arrays) + json.dumps(config, sort_keys=True)).encode("utf-8"))
+    return {**manifest, "sha256": seal.hexdigest()}
+
+
 @pytest.mark.parametrize("manifest, match", [
     ({"config": {}}, "no tensor list"),
     ([], "no tensor list"),
@@ -221,8 +228,16 @@ def _entry(**overrides):
     ({"tensors": [_entry(shape=[2.0])]}, r"tensor 'w': shape\[0\] must be an integer >= 0, got 2\.0"),
     ({"tensors": [_entry(shape=[-2])]}, r"tensor 'w': shape\[0\] must be an integer >= 0, got -2"),
     ({"tensors": [_entry(shape=[3])]}, "tensor 'w' overruns blob"),
+    # Sealed as the file would have loaded: one 'w' holding the second tensor's values, or
+    # the list, or {} as the config.
+    (_sealed({"config": {}, "tensors": [_entry(shape=[1]), _entry(shape=[1])]}, {},
+             {"w": np.zeros(1, "<f4")}), "tensor 'w' is named twice"),
+    (_sealed({"config": [1, 2], "tensors": [_entry()]}, [1, 2], {"w": np.zeros(2, "<f4")}),
+     r"config \[1, 2\] is not a JSON object"),
+    (_sealed({"tensors": [_entry()]}, {}, {"w": np.zeros(2, "<f4")}), "config None is not a JSON object"),
 ], ids=["no-tensors", "list-manifest", "tensor-dict", "list-entry", "no-shape", "list-name",
-        "list-dtype", "string-shape", "float-shape", "negative-shape", "overrun"])
+        "list-dtype", "string-shape", "float-shape", "negative-shape", "overrun", "dup-name",
+        "list-config", "no-config"])
 def test_load_checkpoint_rejects_malformed_manifest(tmp_path, manifest, match):
     path = tmp_path / "bad.ckpt"
     raw = json.dumps(manifest).encode("utf-8")
@@ -230,3 +245,11 @@ def test_load_checkpoint_rejects_malformed_manifest(tmp_path, manifest, match):
     with pytest.raises(CheckpointError, match=match) as info:
         load_checkpoint(path)
     assert str(path) in str(info.value)
+
+
+def test_save_checkpoint_rejects_a_config_that_is_not_a_dict(tmp_path):
+    # save_checkpoint(config=[1, 2]) wrote a file that loaded with [1, 2] as its config.
+    path = tmp_path / "ck.bin"
+    with pytest.raises(CheckpointError, match="config must be a dict, got list"):
+        save_checkpoint(path, {"w": np.zeros(2, "<f4")}, [1, 2])
+    assert not path.exists()

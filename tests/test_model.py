@@ -346,7 +346,6 @@ class TestEncoder:
             encoder_forward(ids, params, config, mode="eval")
         assert info.value.layer == 0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("name, layer", [
         ("emb.ln_g", -1), ("layer0.ffn.w1", 0), ("layer1.attn.wv", 1), ("pooler.w", 2),
     ])

@@ -1,7 +1,7 @@
 """Every console script that pyproject.toml declares can be imported, every
 name a package exports resolves, ``conceptfx.checks`` holds the package's
-only argument rule, and ``corpus/poms.py`` is the only module naming a POMS
-label."""
+only argument rule, ``corpus/poms.py`` is the only module naming a POMS
+label, and no module imports ``warnings``."""
 
 import ast
 import importlib
@@ -75,3 +75,11 @@ def test_poms_is_the_only_module_naming_a_poms_label():
     users = [path.relative_to(PACKAGE).as_posix() for path in sorted(PACKAGE.rglob("*.py"))
              if _names_a_poms_label(path)]
     assert users == ["corpus/poms.py"]
+
+
+def test_package_never_warns():
+    # A library warning is an error under the test settings and noise for a caller;
+    # bad input raises the module's typed error instead.
+    users = [path.relative_to(PACKAGE).as_posix() for path in sorted(PACKAGE.rglob("*.py"))
+             if "warnings" in _imports(path)]
+    assert users == []
