@@ -53,11 +53,11 @@ class Adam:
         bc1 = 1.0 - _BETA1**self.t
         bc2 = 1.0 - _BETA2**self.t
         for name, p in live:
-            g, m, v = p.grad, self.m[name], self.v[name]
-            m *= _BETA1
-            m += (1.0 - _BETA1) * g
-            v *= _BETA2
-            v += (1.0 - _BETA2) * (g * g)
+            # New moment arrays each step (the in-place update's bits): allocated after the
+            # backward pass, they keep the allocator from trimming the step's heap.
+            g = p.grad
+            m = self.m[name] = _BETA1 * self.m[name] + (1.0 - _BETA1) * g
+            v = self.v[name] = _BETA2 * self.v[name] + (1.0 - _BETA2) * (g * g)
             p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
 
     def zero_grad(self):
