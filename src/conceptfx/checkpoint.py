@@ -7,7 +7,8 @@ A checkpoint file is::
 The manifest holds a ``config`` JSON object, one entry per tensor, ``{name,
 shape, dtype}``, and ``sha256``, a digest of the tensors and the config.  The
 blob is the tensors' little-endian values back to back in manifest order, so a
-tensor's offset is the size of the tensors before it.  Loading rejects a blob
+tensor's offset is the size of the tensors before it.  Saving rejects a config
+that does not come back from JSON equal to itself.  Loading rejects a blob
 shorter or longer than its tensors, a ``sha256`` that does not match, a repeated
 tensor name, a config that is not a JSON object, and a shape dimension that
 ``checks.integer`` does not take as an integer >= 0.  Values and shapes (0-d
@@ -35,16 +36,23 @@ class CheckpointError(Exception):
     pass
 
 
-def save_checkpoint(path, arrays: dict[str, np.ndarray], config: dict | None = None) -> None:
-    """Write named arrays plus a config dict (``None`` stores ``{}``) to ``path``.
+def save_checkpoint(path, arrays: dict[str, np.ndarray], config: dict) -> None:
+    """Write named arrays plus a config dict to ``path``.
 
-    The file is written under a temporary name in the same directory and
-    then renamed over ``path``, so a failed save leaves any earlier file at
-    ``path`` intact and no temporary file behind.
+    The config must load back equal to itself: string keys, and values that
+    JSON holds exactly (no tuple, NaN or numpy scalar).  The file is written
+    under a temporary name in the same directory and then renamed over
+    ``path``, so a failed save leaves any earlier file at ``path`` intact and
+    no temporary file behind.
     """
-    config = {} if config is None else config
     if not isinstance(config, dict):
         raise CheckpointError(f"config must be a dict, got {type(config).__name__}")
+    try:
+        round_trips = json.loads(json.dumps(config, allow_nan=False)) == config
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"config {config!r} is not JSON: {e}") from e
+    if not round_trips:
+        raise CheckpointError(f"config {config!r} does not load back equal to itself")
     stored = {}
     for name in sorted(arrays):
         arr = np.asarray(arrays[name], order="C")

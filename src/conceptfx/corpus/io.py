@@ -9,9 +9,10 @@ with ``split="cf"`` and the id ``types.twin`` gives them,
 ``<factual-id>~cf~<concept>``, the only record of a pair.
 
 The reader is the one check on stored data and rejects what the writer cannot
-write.  Header: schema 2 (schema 1 also kept a pair column), a seed >= 0, a
-known bias version, string lists of concepts, label names and domains, and an
-object as provenance.  Record: a known split, a new string id, one or more
+write.  Header and record hold exactly the keys above, so schema 1's pair
+column is an unknown key.  Header: schema 2, a seed >= 0, a known bias
+version, string lists of concepts, label names and domains, and an object as
+provenance.  Record: a known split, a new string id, one or more
 tokens with non-empty lowercase surfaces and slots in ``SLOT_KINDS``, a label
 in range, exactly the header's concepts as 0/1 bits, and one of the header's
 domains, or null if it lists none.  Twin: a header concept and an earlier test
@@ -30,6 +31,8 @@ from .types import (BIAS_VERSIONS, BundleMeta, CorpusBundle, CorpusError, Exampl
                     ExamplePair, SLOT_KINDS, TaggedToken, twin, twin_origin)
 
 SCHEMA_VERSION = 2
+_HEADER_KEYS = {"schema_version", "seed", "bias_version", "concepts", "label_names", "domains", "provenance"}
+_RECORD_KEYS = {"id", "split", "label", "domain", "concepts", "tokens"}
 
 
 def load_data(name: str) -> dict:
@@ -75,6 +78,8 @@ def write_jsonl(bundle: CorpusBundle, path) -> None:
 
 def _parse_example(record: dict, meta: BundleMeta) -> Example:
     """The example a record holds, validated against the header."""
+    if not record.keys() <= _RECORD_KEYS:
+        raise CorpusError(f"unknown record key {min(record.keys() - _RECORD_KEYS)!r}")
     try:
         if not isinstance(record["id"], str):
             raise CorpusError(f"example id must be a string, got {record['id']!r}")
@@ -107,11 +112,12 @@ def _parse_header(header: dict) -> BundleMeta:
         return CorpusError(f"line 1: malformed header: {what}")
 
     try:
-        seed, version = header["seed"], header["bias_version"]
+        seed, version, provenance = header["seed"], header["bias_version"], header["provenance"]
         lists = {key: header[key] for key in ("concepts", "label_names", "domains")}
     except KeyError as e:
         raise bad(f"missing {e}") from e
-    provenance = header.get("provenance", {})
+    if not header.keys() <= _HEADER_KEYS:
+        raise bad(f"unknown key {min(header.keys() - _HEADER_KEYS)!r}")
     integer(seed, "line 1: malformed header: seed", CorpusError)
     if version not in BIAS_VERSIONS:
         raise bad(f"unknown bias_version {version!r}")

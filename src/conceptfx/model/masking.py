@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..checks import integer, real
-from .vocab import CLS_ID, MASK_ID, PAD_ID, SPECIAL_TOKENS, Vocab, encode
+from .vocab import CLS_ID, MASK_ID, PAD_ID, SPECIAL_TOKENS, Vocab, encode_batch
 
 ACTION_MASK, ACTION_KEEP_PREDICT, ACTION_RANDOM = 0, 1, 2
 
@@ -83,7 +83,7 @@ def ima_mask(example, vocab: Vocab, seed: int = 0, max_len: int = 32) -> Masking
     ones are selected and the shortfall is recorded as ``imbalance``.
     """
     integer(seed, "seed", MaskingError)
-    ids, _ = encode(example.tokens, vocab, max_len)
+    (ids,), _ = encode_batch([example], vocab, max_len)
     is_adjective = np.array([t.slot == "adjective" for t in example.tokens[:max_len - 1]], dtype=bool)
     slots = np.arange(1, len(is_adjective) + 1)  # token i sits at position i + 1, after CLS
     adj_positions, other_positions = slots[is_adjective], slots[~is_adjective]

@@ -1,4 +1,8 @@
-"""Whitespace-token vocabulary with reserved ids and fixed-length encoding."""
+"""Whitespace-token vocabulary with reserved ids and fixed-length encoding.
+
+``build_vocab`` reads a bundle's training split and ``encode_batch`` is the one
+encoder: every stage reads its token ids from the rows it writes.
+"""
 
 from __future__ import annotations
 
@@ -34,42 +38,27 @@ class Vocab:
         return self.token_to_id.get(token, UNK_ID)
 
 
-def build_vocab(corpus) -> Vocab:
-    """Build from the training split only; tokens are sorted for stability."""
-    examples = corpus.train if hasattr(corpus, "train") else corpus
-    if not examples:
+def build_vocab(bundle) -> Vocab:
+    """Build from ``bundle.train`` only; tokens are sorted for stability."""
+    if not bundle.train:
         raise VocabError("cannot build a vocabulary from an empty corpus")
-    seen = set()
-    for ex in examples:
-        seen.update(t.surface for t in ex.tokens)
-    return Vocab(list(SPECIAL_TOKENS) + sorted(seen))
-
-
-def encode(tokens, vocab: Vocab, max_len: int) -> tuple[np.ndarray, bool]:
-    """Encode surfaces as ``[CLS, t1, ..., PAD...]``; returns (ids, truncated).
-
-    Sequences longer than ``max_len - 1`` lose their tail; callers should
-    count truncations.  Out-of-vocabulary tokens map to UNK.
-    """
-    integer(max_len, "max_len", VocabError, low=1)  # room for CLS
-    ids = np.empty(max_len, dtype=np.int64)
-    return ids, _fill(ids, tokens, vocab)
+    return Vocab(list(SPECIAL_TOKENS) + sorted({t.surface for ex in bundle.train for t in ex.tokens}))
 
 
 def encode_batch(examples, vocab: Vocab, max_len: int) -> tuple[np.ndarray, int]:
-    """Encode a list of examples; returns (ids[B, L], truncation count)."""
+    """Encode tagged examples as rows ``[CLS, t1, ..., PAD...]``; returns
+    (ids[B, max_len], truncation count).
+
+    A row holds the surfaces of an example's first ``max_len - 1`` tokens; an
+    example with more loses its tail and counts as one truncation.
+    Out-of-vocabulary surfaces map to UNK.
+    """
     integer(max_len, "max_len", VocabError, low=1)  # room for CLS
-    ids = np.empty((len(examples), max_len), dtype=np.int64)
-    truncations = sum(_fill(row, ex.tokens, vocab) for row, ex in zip(ids, examples))
+    ids = np.full((len(examples), max_len), PAD_ID, dtype=np.int64)
+    ids[:, 0] = CLS_ID
+    truncations = 0
+    for row, ex in zip(ids, examples):
+        tokens = ex.tokens[:max_len - 1]
+        row[1:len(tokens) + 1] = [vocab.get(t.surface) for t in tokens]
+        truncations += len(ex.tokens) > len(tokens)
     return ids, truncations
-
-
-def _fill(row: np.ndarray, tokens, vocab: Vocab) -> bool:
-    """Write ``tokens`` (surfaces or tagged tokens) encoded into ``row``;
-    returns whether they were truncated."""
-    surfaces = [t.surface if hasattr(t, "surface") else t for t in tokens]
-    row[:] = PAD_ID
-    row[0] = CLS_ID
-    for i, tok in enumerate(surfaces[:len(row) - 1]):
-        row[i + 1] = vocab.get(tok)
-    return len(surfaces) > len(row) - 1

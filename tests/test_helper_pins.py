@@ -7,7 +7,7 @@ import numpy as np
 
 from conceptfx.autodiff import Tensor
 from conceptfx.corpus import Example, TaggedToken, generate_review_corpus
-from conceptfx.model import build_vocab, encode, ima_mask, mlm_mask
+from conceptfx.model import build_vocab, encode_batch, ima_mask, mlm_mask
 from conceptfx.optim import Adam
 from conceptfx.topics import assign_topics, fit_lda_corpus
 
@@ -21,7 +21,8 @@ def _sha(*arrays) -> str:
 
 def test_adam_trajectory_pinned():
     # "c" gets its first gradient at step 5 and "b" none at step 12, so the
-    # pin covers moments allocated late and skipped under the global step.
+    # pin covers moments that stay zero until a parameter's first gradient
+    # and a parameter skipped under the global step.
     rng = np.random.default_rng(np.random.SeedSequence((11, 1)))
     shapes = {"a": (3, 4), "b": (5,), "c": (2, 3)}
     params = {n: Tensor(rng.standard_normal(s), requires_grad=True, dtype=np.float32)
@@ -68,7 +69,7 @@ def test_masking_plans_pinned():
             plan = ima_mask(ex, vocab, seed=i, max_len=max_len)
             arrays += [plan.positions, plan.actions, plan.replacements, plan.binary_targets]
             imbalances.append(plan.imbalance)
-        ids, _ = encode(ex.tokens, vocab, 32)
+        (ids,), _ = encode_batch([ex], vocab, 32)
         plan = mlm_mask(ids, vocab, rate=0.3, seed=i)
         arrays += [plan.positions, plan.actions, plan.replacements, plan.mlm_targets]
     assert imbalances == [0] * 16 + [2, 2]

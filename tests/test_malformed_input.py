@@ -20,6 +20,12 @@ def _drop_seed(lines):
     lines[0] = json.dumps(header)
 
 
+def _drop_provenance(lines):
+    header = json.loads(lines[0])
+    del header["provenance"]
+    lines[0] = json.dumps(header)
+
+
 def _string_provenance(lines):
     header = json.loads(lines[0])
     header["provenance"] = "abc"
@@ -153,6 +159,9 @@ def _set(index, key, value):
     (_set(1, "domain", "books"), r"line 2: example poms-000000: domain 'books' is not one of \[None\]"),
     (_set(1, "tokens", []), "line 2: example poms-000000: no tokens"),
     (_set(1, "tokens", [{"t": "she", "s": "pronoun"}]), "line 2: unknown slot kind 'pronoun'"),
+    (_drop_provenance, "line 1: malformed header: missing 'provenance'"),
+    (_header("lexicon", {}), "line 1: malformed header: unknown key 'lexicon'"),
+    (_set(1, "pair_id", None), "line 2: unknown record key 'pair_id'"),
 ], ids=["no-seed", "string-provenance", "list-header", "string-label-names", "string-domains",
         "int-in-concepts", "string-seed", "bool-seed", "negative-seed", "int-bias-version", "list-provenance",
         "list-record", "list-concepts",
@@ -160,7 +169,8 @@ def _set(index, key, value):
         "schema-1", "uppercase-surface", "repeated-factual", "repeated-twin",
         "twin-of-unknown-concept", "twin-of-train-row", "float-label", "string-label", "bool-label",
         "float-concept", "bool-concept", "int-domain", "twin-label", "unknown-concept", "twin-domain",
-        "twin-other-concept", "unknown-domain", "no-tokens", "unknown-slot"])
+        "twin-other-concept", "unknown-domain", "no-tokens", "unknown-slot", "no-provenance",
+        "extra-header-key", "extra-record-key"])
 def test_read_jsonl_rejects_malformed_file(tmp_path, corrupt, match):
     path = tmp_path / "corpus.jsonl"
     write_jsonl(generate_poms_corpus(n=50, seed=8), path)
@@ -247,9 +257,18 @@ def test_load_checkpoint_rejects_malformed_manifest(tmp_path, manifest, match):
     assert str(path) in str(info.value)
 
 
-def test_save_checkpoint_rejects_a_config_that_is_not_a_dict(tmp_path):
-    # save_checkpoint(config=[1, 2]) wrote a file that loaded with [1, 2] as its config.
+@pytest.mark.parametrize("config, match", [
+    ([1, 2], "config must be a dict, got list"),
+    ({1: 2}, r"config \{1: 2\} does not load back equal to itself"),
+    ({"k": (1, 2)}, r"config \{'k': \(1, 2\)\} does not load back equal to itself"),
+    ({"k": float("nan")}, r"config \{'k': nan\} is not JSON: Out of range float"),
+    ({"k": np.int64(3)}, r"config \{'k': np.int64\(3\)\} is not JSON: .*int64 is not JSON serializable"),
+], ids=["list", "int-key", "tuple", "nan", "numpy-int"])
+def test_save_checkpoint_rejects_a_config_that_does_not_round_trip(tmp_path, config, match):
+    # [1, 2] wrote a file that loaded with [1, 2] as its config, {1: 2} loaded as
+    # {'1': 2} and (1, 2) as [1, 2]; NaN wrote non-standard JSON and np.int64 leaked
+    # TypeError.
     path = tmp_path / "ck.bin"
-    with pytest.raises(CheckpointError, match="config must be a dict, got list"):
-        save_checkpoint(path, {"w": np.zeros(2, "<f4")}, [1, 2])
-    assert not path.exists()
+    with pytest.raises(CheckpointError, match=match):
+        save_checkpoint(path, {"w": np.zeros(2, "<f4")}, config)
+    assert list(tmp_path.iterdir()) == []

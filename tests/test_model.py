@@ -6,44 +6,58 @@ import numpy as np
 import pytest
 
 from conceptfx import autodiff as ad
-from conceptfx.corpus import TaggedToken, Example, generate_poms_corpus
+from conceptfx.corpus import BundleMeta, CorpusBundle, TaggedToken, Example, generate_poms_corpus
 from conceptfx.model import (CLS_ID, MASK_ID, PAD_ID, SPECIAL_TOKENS, UNK_ID, EncoderConfig,
                              HeadSet, MaskingError, Vocab, build_vocab,
-                             encode, encode_batch, encoder_forward,
+                             encode_batch, encoder_forward,
                              feature_dim, ima_mask, init_encoder_params,
                              mlm_mask, sequence_features)
 from conceptfx.model.masking import ACTION_KEEP_PREDICT, ACTION_MASK, ACTION_RANDOM
 
 
+def _example(words, id="x"):
+    return Example(id=id, tokens=tuple(TaggedToken(w, "filler") for w in words), label=0, concepts={})
+
+
+def _bundle(*examples):
+    """A bundle whose training split is ``examples``, for ``build_vocab``."""
+    meta = BundleMeta(seed=0, bias_version="balanced", concepts=[], label_names=["x"])
+    return CorpusBundle(train=list(examples), dev=[], test=[], pairs=[], meta=meta)
+
+
+def _ids(words, vocab, max_len):
+    """The encoded row of one example holding ``words``."""
+    (ids,), _ = encode_batch([_example(words)], vocab, max_len)
+    return ids
+
+
 def _toy_vocab(tokens=("alpha", "beta", "gamma", "delta", "epsilon")):
-    ex = Example(id="x", tokens=tuple(TaggedToken(t, "filler") for t in tokens),
-                 label=0, concepts={})
-    return build_vocab([ex])
+    return build_vocab(_bundle(_example(tokens)))
 
 
 class TestVocab:
     def test_empty_tokens_encode_to_cls_pad(self):
         vocab = _toy_vocab()
-        ids, truncated = encode([], vocab, max_len=6)
-        assert ids.tolist() == [CLS_ID, PAD_ID, PAD_ID, PAD_ID, PAD_ID, PAD_ID]
-        assert not truncated
+        ids, truncations = encode_batch([_example([])], vocab, max_len=6)
+        assert ids.tolist() == [[CLS_ID, PAD_ID, PAD_ID, PAD_ID, PAD_ID, PAD_ID]]
+        assert truncations == 0
 
     def test_unseen_token_is_unk(self):
         vocab = _toy_vocab()
-        ids, _ = encode(["zzz_not_there"], vocab, max_len=4)
-        assert ids[1] == UNK_ID
+        assert _ids(["zzz_not_there"], vocab, max_len=4)[1] == UNK_ID
 
     def test_truncation_flag(self):
         vocab = _toy_vocab()
-        ids, truncated = encode(["alpha"] * 10, vocab, max_len=4)
-        assert truncated and len(ids) == 4
+        examples = [_example(["alpha"] * 10), _example(["alpha"] * 3), _example(["alpha"] * 4)]
+        ids, truncations = encode_batch(examples, vocab, max_len=4)
+        assert truncations == 2 and ids.shape == (3, 4)
 
     @pytest.mark.parametrize("call", [
         lambda vocab: encode_batch([_adjective_example(1, 1)], vocab, max_len=0),
         lambda vocab: encode_batch([], vocab, max_len=-3),
-        lambda vocab: encode(["alpha"], vocab, max_len=-3),
-        lambda vocab: encode(["alpha"], vocab, max_len=4.0),
-        lambda vocab: encode(["alpha"], vocab, max_len=True),
+        lambda vocab: encode_batch([_example(["alpha"])], vocab, max_len=-3),
+        lambda vocab: encode_batch([_example(["alpha"])], vocab, max_len=4.0),
+        lambda vocab: encode_batch([_example(["alpha"])], vocab, max_len=True),
     ], ids=["batch-zero", "empty-batch-negative", "negative", "float", "bool"])
     def test_max_len_must_be_a_positive_integer(self, call):
         # max_len=0 leaked IndexError, a negative one numpy's ValueError.
@@ -52,7 +66,7 @@ class TestVocab:
             call(_toy_vocab())
 
     def test_encode_batch_checks_max_len_once(self, monkeypatch):
-        # Each row's encode call re-checked it: 1,281 checks for 1,280 rows.
+        # Each row's encoder call re-checked it: 1,281 checks for 1,280 rows.
         from conceptfx.model import vocab as vocab_module
         bundle = generate_poms_corpus(n=2000, seed=1)
         vocab = build_vocab(bundle)
@@ -61,8 +75,8 @@ class TestVocab:
         monkeypatch.setattr(vocab_module, "integer", lambda *a, **k: calls.append(a) or check(*a, **k))
         ids, truncations = encode_batch(bundle.train, vocab, 32)
         assert len(bundle.train) == 1280 and len(calls) == 1
-        rows = [encode(ex.tokens, vocab, 32) for ex in bundle.train]
-        assert ids.tolist() == [row.tolist() for row, _ in rows]
+        rows = [encode_batch([ex], vocab, 32) for ex in bundle.train]
+        assert ids.tolist() == [row.tolist() for (row,), _ in rows]
         assert truncations == sum(truncated for _, truncated in rows)
 
     def test_vocab_covers_train_lexicon_words(self):
@@ -71,6 +85,11 @@ class TestVocab:
         train_surfaces = {t.surface for ex in bundle.train for t in ex.tokens}
         missing = train_surfaces - set(vocab.id_to_token)
         assert missing == set()
+
+    def test_empty_training_split_rejected(self):
+        from conceptfx.model.vocab import VocabError
+        with pytest.raises(VocabError, match="empty corpus"):
+            build_vocab(_bundle())
 
     def test_ids_dense_and_stable(self):
         bundle = generate_poms_corpus(n=200, seed=3)
@@ -82,13 +101,13 @@ class TestVocab:
 class TestMlmMask:
     def test_rate_zero_gives_empty_plan(self):
         vocab = _toy_vocab()
-        ids, _ = encode(["alpha", "beta", "gamma"], vocab, max_len=8)
+        ids = _ids(["alpha", "beta", "gamma"], vocab, max_len=8)
         plan = mlm_mask(ids, vocab, rate=0.0, seed=1)
         assert len(plan) == 0
 
     def test_deterministic_for_same_seed(self):
         vocab = _toy_vocab()
-        ids, _ = encode(["alpha", "beta", "gamma", "delta"], vocab, max_len=8)
+        ids = _ids(["alpha", "beta", "gamma", "delta"], vocab, max_len=8)
         p1 = mlm_mask(ids, vocab, rate=0.5, seed=42)
         p2 = mlm_mask(ids, vocab, rate=0.5, seed=42)
         np.testing.assert_array_equal(p1.positions, p2.positions)
@@ -97,14 +116,14 @@ class TestMlmMask:
 
     def test_never_selects_cls_or_pad(self):
         vocab = _toy_vocab()
-        ids, _ = encode(["alpha", "beta"], vocab, max_len=10)
+        ids = _ids(["alpha", "beta"], vocab, max_len=10)
         for seed in range(50):
             plan = mlm_mask(ids, vocab, rate=0.9, seed=seed)
             assert all(ids[p] not in (CLS_ID, PAD_ID) for p in plan.positions)
 
     def test_action_fractions_80_10_10(self):
         vocab = _toy_vocab()
-        ids, _ = encode(["alpha"] * 30, vocab, max_len=32)
+        ids = _ids(["alpha"] * 30, vocab, max_len=32)
         counts = np.zeros(3)
         total = 0
         for seed in range(6000):
@@ -120,7 +139,7 @@ class TestMlmMask:
 
     def test_mask_replacement_ids(self):
         vocab = _toy_vocab()
-        ids, _ = encode(["alpha", "beta", "gamma", "delta", "epsilon"], vocab, max_len=10)
+        ids = _ids(["alpha", "beta", "gamma", "delta", "epsilon"], vocab, max_len=10)
         plan = mlm_mask(ids, vocab, rate=1.0, seed=0)
         masked = plan.apply(ids)
         for pos, action, rep in zip(plan.positions, plan.actions, plan.replacements):
@@ -136,7 +155,7 @@ class TestMlmMask:
     def test_rate_must_be_a_real_in_unit_interval(self, rate):
         # "x" leaked numpy's UFuncTypeError, and NaN masked nothing.
         vocab = _toy_vocab()
-        ids, _ = encode(["alpha", "beta"], vocab, max_len=6)
+        ids = _ids(["alpha", "beta"], vocab, max_len=6)
         with pytest.raises(MaskingError, match="rate must be a real number in"):
             mlm_mask(ids, vocab, rate=rate, seed=0)
 
@@ -144,7 +163,7 @@ class TestMlmMask:
     def test_seed_must_be_a_non_negative_integer(self, seed):
         # -1 leaked numpy's ValueError; 1.5 and "x" leaked TypeError.
         vocab = _toy_vocab()
-        ids, _ = encode(["alpha", "beta"], vocab, max_len=6)
+        ids = _ids(["alpha", "beta"], vocab, max_len=6)
         with pytest.raises(MaskingError, match="seed must be an integer >= 0"):
             mlm_mask(ids, vocab, rate=0.5, seed=seed)
 
@@ -155,7 +174,7 @@ class TestMlmMask:
 
     def test_no_maskable_positions_errors(self):
         vocab = _toy_vocab()
-        ids, _ = encode([], vocab, max_len=4)
+        ids = _ids([], vocab, max_len=4)
         with pytest.raises(MaskingError):
             mlm_mask(ids, vocab, rate=0.5, seed=0)
 
@@ -173,13 +192,9 @@ def _adjective_example(n_adj, n_other, id="ex"):
 
 
 class TestImaMask:
-    def _vocab(self):
-        ex = _adjective_example(4, 12)
-        return build_vocab([ex])
-
     def test_two_adjectives_among_ten(self):
         ex = _adjective_example(2, 8)
-        plan = ima_mask(ex, build_vocab([ex]), seed=0, max_len=16)
+        plan = ima_mask(ex, build_vocab(_bundle(ex)), seed=0, max_len=16)
         assert len(plan) == 4
         assert plan.binary_targets.sum() == 2
         assert plan.imbalance == 0
@@ -187,11 +202,11 @@ class TestImaMask:
     def test_zero_adjectives_errors(self):
         ex = _adjective_example(0, 8)
         with pytest.raises(MaskingError):
-            ima_mask(ex, build_vocab([ex]), seed=0, max_len=16)
+            ima_mask(ex, build_vocab(_bundle(ex)), seed=0, max_len=16)
 
     def test_insufficient_non_adjectives_records_imbalance(self):
         ex = _adjective_example(5, 2)
-        plan = ima_mask(ex, build_vocab([ex]), seed=0, max_len=16)
+        plan = ima_mask(ex, build_vocab(_bundle(ex)), seed=0, max_len=16)
         assert plan.imbalance == 3
         assert plan.binary_targets.sum() == 5
         assert (plan.binary_targets == 0).sum() == 2
@@ -201,7 +216,7 @@ class TestImaMask:
         ones = zeros = 0
         for i in range(500):
             ex = _adjective_example(int(rng.integers(1, 4)), 10, id=f"e{i}")
-            plan = ima_mask(ex, build_vocab([ex]), seed=i, max_len=16)
+            plan = ima_mask(ex, build_vocab(_bundle(ex)), seed=i, max_len=16)
             assert plan.imbalance == 0
             ones += int(plan.binary_targets.sum())
             zeros += int((plan.binary_targets == 0).sum())
@@ -215,11 +230,11 @@ class TestImaMask:
     def test_seed_must_be_a_non_negative_integer(self, seed):
         ex = _adjective_example(2, 8)
         with pytest.raises(MaskingError, match="seed must be an integer >= 0"):
-            ima_mask(ex, build_vocab([ex]), seed=seed, max_len=16)
+            ima_mask(ex, build_vocab(_bundle(ex)), seed=seed, max_len=16)
 
     def test_deterministic(self):
         ex = _adjective_example(2, 9)
-        vocab = build_vocab([ex])
+        vocab = build_vocab(_bundle(ex))
         p1 = ima_mask(ex, vocab, seed=5, max_len=16)
         p2 = ima_mask(ex, vocab, seed=5, max_len=16)
         np.testing.assert_array_equal(p1.positions, p2.positions)
@@ -259,8 +274,8 @@ class TestEncoder:
     def test_pad_tail_invariance(self):
         vocab, config, params = self._setup(dtype=np.float64)
         tokens = ["alpha", "beta", "gamma"]
-        short, _ = encode(tokens, vocab, max_len=6)
-        long, _ = encode(tokens, vocab, max_len=12)
+        short = _ids(tokens, vocab, max_len=6)
+        long = _ids(tokens, vocab, max_len=12)
         s_short, p_short = encoder_forward(short[None, :], params, config, mode="eval")
         s_long, p_long = encoder_forward(long[None, :], params, config, mode="eval")
         np.testing.assert_allclose(s_short.data[0, :4], s_long.data[0, :4], atol=1e-5)

@@ -1,7 +1,7 @@
 """Every console script that pyproject.toml declares can be imported, every
 name a package exports resolves, ``conceptfx.checks`` holds the package's
 only argument rule, ``corpus/poms.py`` is the only module naming a POMS
-label, and no module imports ``warnings``."""
+label, no module imports ``warnings``, and no module calls ``hasattr``."""
 
 import ast
 import importlib
@@ -82,4 +82,18 @@ def test_package_never_warns():
     # bad input raises the module's typed error instead.
     users = [path.relative_to(PACKAGE).as_posix() for path in sorted(PACKAGE.rglob("*.py"))
              if "warnings" in _imports(path)]
+    assert users == []
+
+
+def _calls_hasattr(path: Path) -> bool:
+    """Whether ``path`` calls ``hasattr``."""
+    return any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "hasattr"
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+
+
+def test_package_never_duck_types():
+    # Each entry point takes one input type; a second form accepted by probing for an
+    # attribute is a second code path that only tests reach.
+    users = [path.relative_to(PACKAGE).as_posix() for path in sorted(PACKAGE.rglob("*.py"))
+             if _calls_hasattr(path)]
     assert users == []
