@@ -12,10 +12,10 @@ The reader is the one check on stored data and rejects what the writer cannot
 write.  Header and record hold exactly the keys above, so schema 1's pair
 column is an unknown key.  Header: schema 2, a seed >= 0, a known bias
 version, string lists of concepts, label names and domains, and an object as
-provenance.  Record: a known split, a new string id, one or more
-tokens with non-empty lowercase surfaces and slots in ``SLOT_KINDS``, a label
-in range, exactly the header's concepts as 0/1 bits, and one of the header's
-domains, or null if it lists none.  Twin: a header concept and an earlier test
+provenance.  Record: a known split, a new string id, one or more tokens with
+non-empty lowercase surfaces and slots in ``SLOT_KINDS``, a label in range,
+exactly the header's concepts as 0/1 bits, and one of the header's domains,
+or null if it lists none.  Twin: a header concept and an earlier test
 factual whose label, domain and other bits it keeps.  Every integer passes
 ``checks.integer``: no float, no string, no ``true``.
 """

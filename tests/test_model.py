@@ -15,8 +15,8 @@ from conceptfx.model import (CLS_ID, MASK_ID, PAD_ID, SPECIAL_TOKENS, UNK_ID, En
 from conceptfx.model.masking import ACTION_KEEP_PREDICT, ACTION_MASK, ACTION_RANDOM
 
 
-def _example(words, id="x"):
-    return Example(id=id, tokens=tuple(TaggedToken(w, "filler") for w in words), label=0, concepts={})
+def _example(words):
+    return Example(id="x", tokens=tuple(TaggedToken(w, "filler") for w in words), label=0, concepts={})
 
 
 def _bundle(*examples):
