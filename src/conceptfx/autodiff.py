@@ -16,7 +16,9 @@ node exactly once and accumulates gradients additively on fan-out.  It raises
 tape at most (entering a second raises ``AutodiffError``), and it takes only
 that thread's ops.  Each backward returns one gradient per input, and
 ``Tape.backward`` alone drops those of inputs without ``requires_grad``.  Every
-op checks its output for NaN/Inf and raises ``NonFiniteError`` on detection.
+op checks its output for NaN/Inf and raises ``NonFiniteError``; the arithmetic
+ops and ``Tape.backward`` run with numpy's floating-point warnings off, so that
+error (and ``Adam.step``'s, for a gradient) is the one report wherever they run.
 
 Kernels allocate their output and, only when a tape records the op, what their
 backward multiplies by; ``_recording`` is the one test of that, shared with
@@ -37,6 +39,7 @@ output may be a view of an operand (``reshape``, ``transpose``,
 from __future__ import annotations
 
 import collections
+import functools
 import math
 import threading
 
@@ -93,6 +96,15 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"
 
 
+def _quiet(fn):
+    """``fn`` with numpy's floating-point warnings off, in a fresh ``np.errstate`` per call:
+    before numpy 2 a shared one keeps its saved state on itself, so nesting or threads break it."""
+    def quiet(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return fn(*args, **kwargs)
+    return functools.update_wrapper(quiet, fn)
+
+
 _Node = collections.namedtuple("_Node", "out inputs backward_fn op")
 
 
@@ -124,6 +136,7 @@ class Tape:
     def _record(self, out, inputs, backward_fn, op):
         self._nodes.append(_Node(out, inputs, backward_fn, op))
 
+    @_quiet
     def backward(self, loss: Tensor):
         """Backpropagate from a scalar loss, depositing ``.grad`` on leaves.
 
@@ -193,6 +206,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 # Primitives
 # ---------------------------------------------------------------------------
 
+@_quiet
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     """Matrix product of 2-D or batched operands; ``b`` may be 2-D under a batched ``a``.
 
@@ -223,6 +237,7 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     return _make("matmul", out, (a, b) if bias is None else (a, b, bias), backward)
 
 
+@_quiet
 def add(a: Tensor, b: Tensor) -> Tensor:
     try:
         np.broadcast_shapes(a.shape, b.shape)
@@ -236,6 +251,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make("add", out, (a, b), backward)
 
 
+@_quiet
 def mul(a: Tensor, b: Tensor) -> Tensor:
     try:
         np.broadcast_shapes(a.shape, b.shape)
@@ -249,6 +265,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make("mul", out, (a, b), backward)
 
 
+@_quiet
 def scale(x: Tensor, c: float) -> Tensor:
     """Multiply by a python scalar constant."""
     c = float(c)
@@ -292,6 +309,7 @@ def _as_rows(a: np.ndarray) -> np.ndarray:
     return a.reshape(math.prod(a.shape[:-1]), a.shape[-1])
 
 
+@_quiet
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     if gain.shape != x.shape[-1:] or bias.shape != x.shape[-1:]:
@@ -358,6 +376,7 @@ def _row_max(rows: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return src
 
 
+@_quiet
 def softmax(x: Tensor) -> Tensor:
     """Softmax over the last axis."""
     rows = _as_rows(x.data)
@@ -384,6 +403,7 @@ def softmax(x: Tensor) -> Tensor:
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 
 
+@_quiet
 def gelu(x: Tensor) -> Tensor:
     """GELU with the tanh approximation (fixed, for cross-build determinism)."""
     # t = tanh(C * (x + 0.044715 * x * x * x)) and out = 0.5 * x * (1 + t).  The cube
@@ -427,6 +447,7 @@ def gelu(x: Tensor) -> Tensor:
     return _make("gelu", out, (x,), backward)
 
 
+@_quiet
 def tanh(x: Tensor) -> Tensor:
     t = np.tanh(x.data)
 
@@ -454,6 +475,7 @@ class DropoutRng:
         return rng.random(shape) < keep_prob
 
 
+@_quiet
 def dropout(x: Tensor, p: float, rng: DropoutRng | None) -> Tensor:
     """Inverted dropout; the identity when ``p == 0``."""
     real(p, "dropout probability", AutodiffError, 0.0, 1.0)
@@ -471,6 +493,7 @@ def dropout(x: Tensor, p: float, rng: DropoutRng | None) -> Tensor:
     return _make("dropout", out, (x,), backward)
 
 
+@_quiet
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean cross entropy of ``[N, C]`` logits against ``N`` integer targets.
 
@@ -561,6 +584,7 @@ def gather_positions(x: Tensor, batch_idx: np.ndarray, pos_idx: np.ndarray) -> T
     return _make("gather_positions", out, (x,), backward)
 
 
+@_quiet
 def sum_axis(x: Tensor, axis: int) -> Tensor:
     try:
         out = x.data.sum(axis=axis)

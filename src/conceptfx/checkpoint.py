@@ -10,9 +10,9 @@ blob is the tensors' little-endian values back to back in manifest order, so a
 tensor's offset is the size of the tensors before it.  Saving rejects a config
 that does not come back from JSON equal to itself.  Loading rejects a blob
 shorter or longer than its tensors, a ``sha256`` that does not match, a repeated
-tensor name, a config that is not a JSON object, and a shape dimension that
-``checks.integer`` does not take as an integer >= 0.  Values and shapes (0-d
-ones too) round-trip bit-exactly.
+tensor name, a config that is not a JSON object, ``NaN`` or ``Infinity`` in the
+manifest, and a shape dimension that ``checks.integer`` does not take as an
+integer >= 0.  Values and shapes (0-d ones too) round-trip bit-exactly.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     if len(raw) < 8 + mlen:
         raise CheckpointError(f"{path}: truncated manifest")
     try:
-        manifest = json.loads(raw[8:8 + mlen].decode("utf-8"))
+        manifest = json.loads(raw[8:8 + mlen].decode("utf-8"), parse_constant=_not_json)
     except (ValueError, UnicodeDecodeError) as e:
         raise CheckpointError(f"{path}: bad manifest: {e}") from e
     if not isinstance(manifest, dict) or not isinstance(manifest.get("tensors"), list):
@@ -131,6 +131,11 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     if manifest.get("sha256") != _seal(arrays, config):
         raise CheckpointError(f"{path}: tensors and config do not match the manifest's sha256")
     return arrays, config
+
+
+def _not_json(constant: str):
+    """``json.loads``'s ``parse_constant``: a save never writes ``NaN`` or ``Infinity``."""
+    raise ValueError(f"{constant} is not JSON")
 
 
 def _digest(arrays: dict[str, np.ndarray]) -> str:

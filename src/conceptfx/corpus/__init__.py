@@ -13,13 +13,3 @@ from .reviews import (DEFAULT_DOMAINS, REVIEW_LABELS, adjective_ratio, apply_rat
 from .types import (BiasSpec, BundleMeta, CorpusBundle, CorpusError, Example,
                     ExamplePair, SLOT_KINDS, TaggedToken, UndefinedCorrelationError,
                     split_sizes)
-
-__all__ = [
-    "BiasSpec", "BundleMeta", "CorpusBundle", "CorpusError", "Example",
-    "ExamplePair", "SLOT_KINDS", "TaggedToken", "UndefinedCorrelationError",
-    "POMS_LABELS", "REVIEW_LABELS", "DEFAULT_DOMAINS",
-    "generate_poms_corpus", "generate_review_corpus",
-    "flip_concept", "delete_adjectives", "adjective_ratio",
-    "apply_ratio_bias", "expected_correlation", "measure_correlation",
-    "read_jsonl", "write_jsonl", "split_sizes",
-]

@@ -1,7 +1,7 @@
 """JSONL corpus persistence with byte-stable output.
 
-Line 1 is a header ``{schema_version, seed, bias_version, concepts,
-label_names, domains, provenance}``; every following line is one example
+Line 1 is a header, ``schema_version`` then ``BundleMeta``'s fields in field
+order; every following line is one example
 ``{id, split, label, domain, concepts, tokens}`` with tokens encoded as
 ``{"t": surface, "s": slot}``, keys in exactly this order, so identical
 bundles serialize to identical bytes.  Twins follow every factual example
@@ -23,6 +23,7 @@ factual whose label, domain and other bits it keeps.  Every integer passes
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, fields
 from importlib import resources
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from .types import (BIAS_VERSIONS, BundleMeta, CorpusBundle, CorpusError, Exampl
                     ExamplePair, SLOT_KINDS, TaggedToken, twin, twin_origin)
 
 SCHEMA_VERSION = 2
-_HEADER_KEYS = {"schema_version", "seed", "bias_version", "concepts", "label_names", "domains", "provenance"}
+_HEADER_KEYS = {"schema_version", *(f.name for f in fields(BundleMeta))}
 _RECORD_KEYS = {"id", "split", "label", "domain", "concepts", "tokens"}
 
 
@@ -57,16 +58,8 @@ def _dump(obj: dict) -> str:
 
 def write_jsonl(bundle: CorpusBundle, path) -> None:
     """Serialize a bundle; an empty bundle writes the header line only."""
-    meta = bundle.meta
-    header = {
-        "schema_version": SCHEMA_VERSION,
-        "seed": meta.seed,
-        "bias_version": meta.bias_version,
-        "concepts": list(meta.concepts),
-        "label_names": list(meta.label_names),
-        "domains": list(meta.domains),
-        "provenance": {k: meta.lexicon_info[k] for k in sorted(meta.lexicon_info)},
-    }
+    header = {"schema_version": SCHEMA_VERSION, **asdict(bundle.meta)}
+    header["provenance"] = dict(sorted(header["provenance"].items()))
     lines = [_dump(header)]
     for split in ("train", "dev", "test"):
         lines.extend(_dump(_example_record(ex, split)) for ex in getattr(bundle, split))
@@ -85,6 +78,9 @@ def _parse_example(record: dict, meta: BundleMeta) -> Example:
             raise CorpusError(f"example id must be a string, got {record['id']!r}")
         where = f"example {record['id']}"
         tokens = tuple(TaggedToken(t["t"], t["s"]) for t in record["tokens"])
+        if sum(map(len, record["tokens"])) != 2 * len(tokens):  # every token holds "t" and "s"
+            extra = next(t.keys() - {"t", "s"} for t in record["tokens"] if len(t) > 2)
+            raise CorpusError(f"{where}: unknown token key {min(extra)!r}")
         label = integer(record["label"], f"{where}: label", CorpusError, high=len(meta.label_names))
         concepts = dict(record["concepts"].items())
         domain = record["domain"]
@@ -111,22 +107,20 @@ def _parse_header(header: dict) -> BundleMeta:
     def bad(what: str) -> CorpusError:
         return CorpusError(f"line 1: malformed header: {what}")
 
-    try:
-        seed, version, provenance = header["seed"], header["bias_version"], header["provenance"]
-        lists = {key: header[key] for key in ("concepts", "label_names", "domains")}
-    except KeyError as e:
-        raise bad(f"missing {e}") from e
-    if not header.keys() <= _HEADER_KEYS:
-        raise bad(f"unknown key {min(header.keys() - _HEADER_KEYS)!r}")
-    integer(seed, "line 1: malformed header: seed", CorpusError)
-    if version not in BIAS_VERSIONS:
-        raise bad(f"unknown bias_version {version!r}")
-    for key, value in lists.items():
+    if header.keys() != _HEADER_KEYS:
+        missing, unknown = _HEADER_KEYS - header.keys(), header.keys() - _HEADER_KEYS
+        raise bad(f"missing {min(missing)!r}" if missing else f"unknown key {min(unknown)!r}")
+    meta = BundleMeta(**{key: header[key] for key in _HEADER_KEYS - {"schema_version"}})
+    integer(meta.seed, "line 1: malformed header: seed", CorpusError)
+    if meta.bias_version not in BIAS_VERSIONS:
+        raise bad(f"unknown bias_version {meta.bias_version!r}")
+    for key in ("concepts", "label_names", "domains"):
+        value = getattr(meta, key)
         if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
             raise bad(f"{key} {value!r} is not a list of strings")
-    if not isinstance(provenance, dict):
-        raise bad(f"provenance {provenance!r} is not an object")
-    return BundleMeta(seed=seed, bias_version=version, lexicon_info=provenance, **lists)
+    if not isinstance(meta.provenance, dict):
+        raise bad(f"provenance {meta.provenance!r} is not an object")
+    return meta
 
 
 def read_jsonl(path) -> CorpusBundle:
@@ -183,6 +177,3 @@ def read_jsonl(path) -> CorpusBundle:
             raise CorpusError(f"line {line_no}: {e}") from e
     return CorpusBundle(**{split: list(examples.values()) for split, examples in splits.items()},
                         pairs=pairs, meta=meta)
-
-
-__all__ = ["write_jsonl", "read_jsonl", "SCHEMA_VERSION", "SLOT_KINDS"]

@@ -189,7 +189,7 @@ def generate_poms_corpus(bias: BiasSpec | None = None, n: int = 8000, seed: int 
         concepts=list(_CONCEPTS),
         label_names=list(POMS_LABELS),
         domains=[],
-        lexicon_info={"templates": len(_TEMPLATES), "bias_concept": bias.concept},
+        provenance={"templates": len(_TEMPLATES), "bias_concept": bias.concept},
     )
     bundle = assemble(examples, meta, twins)
 

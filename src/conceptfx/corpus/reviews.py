@@ -156,7 +156,7 @@ def generate_review_corpus(bias: BiasSpec | None = None, n: int = 5000, seed: in
         concepts=["adjectives"],
         label_names=list(REVIEW_LABELS),
         domains=list(DEFAULT_DOMAINS),
-        lexicon_info={"frames": len(_FRAMES), "topic_word_rate": _GRAMMAR["topic_word_rate"],
+        provenance={"frames": len(_FRAMES), "topic_word_rate": _GRAMMAR["topic_word_rate"],
                       "ratio_median": median},
     )
     bundle = assemble(examples, meta, lambda index, ex: [delete_adjectives(ex)])

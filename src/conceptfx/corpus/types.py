@@ -132,14 +132,14 @@ class BiasSpec:
 
 @dataclass
 class BundleMeta:
-    """Provenance carried alongside the examples."""
+    """Provenance carried alongside the examples; its field order is the JSONL header's order."""
 
     seed: int
     bias_version: str
     concepts: list[str]
     label_names: list[str]
     domains: list[str] = field(default_factory=list)
-    lexicon_info: dict = field(default_factory=dict)
+    provenance: dict = field(default_factory=dict)
 
 
 @dataclass

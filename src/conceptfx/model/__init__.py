@@ -7,13 +7,3 @@ from .masking import (ACTION_KEEP_PREDICT, ACTION_MASK, ACTION_RANDOM,
                       MaskingError, MaskingPlan, ima_mask, mlm_mask)
 from .vocab import (CLS_ID, MASK_ID, PAD_ID, SPECIAL_TOKENS, UNK_ID, Vocab,
                     VocabError, build_vocab, encode_batch)
-
-__all__ = [
-    "EncoderConfig", "EncoderError", "encoder_forward", "feature_dim",
-    "init_encoder_params", "sequence_features",
-    "HeadError", "HeadSet",
-    "MaskingError", "MaskingPlan", "ima_mask", "mlm_mask",
-    "ACTION_MASK", "ACTION_KEEP_PREDICT", "ACTION_RANDOM",
-    "Vocab", "VocabError", "build_vocab", "encode_batch",
-    "PAD_ID", "UNK_ID", "CLS_ID", "MASK_ID", "SPECIAL_TOKENS",
-]

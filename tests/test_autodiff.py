@@ -77,8 +77,28 @@ class TestPrimitiveValues:
 
     def test_non_finite_detection(self):
         big = ad.Tensor(np.array([1e308]))
-        with np.errstate(over="ignore"), pytest.raises(ad.NonFiniteError):
+        with pytest.raises(ad.NonFiniteError):
             ad.mul(big, big)
+
+    @pytest.mark.parametrize("call", [
+        lambda t: ad.matmul(t([[3e38, 3e38]]), t([[3e38], [3e38]])),
+        lambda t: ad.add(t([3e38]), t([3e38])),
+        lambda t: ad.mul(t([3e38]), t([3e38])),
+        lambda t: ad.scale(t([3e38]), 10.0),
+        lambda t: ad.layer_norm(t([[np.inf, 0.0]]), t([1.0, 1.0]), t([0.0, 0.0])),
+        lambda t: ad.softmax(t([[np.inf, 0.0]])),
+        lambda t: ad.gelu(t([np.inf])),
+        lambda t: ad.tanh(t([np.nan])),  # tanh maps +-inf to +-1, so only NaN is left
+        lambda t: ad.dropout(t([3e38]), 0.5, ad.DropoutRng(0)),
+        lambda t: ad.cross_entropy(t([[3e38, -3e38]]), np.array([1])),
+        lambda t: ad.sum_axis(t([3e38, 3e38]), 0),
+    ], ids=["matmul", "add", "mul", "scale", "layer_norm", "softmax", "gelu", "tanh", "dropout",
+            "cross_entropy", "sum_axis"])
+    def test_non_finite_output_raises_the_typed_error_and_no_warning(self, call):
+        # Warnings are errors in this suite; before the ops ran with numpy's warnings off, all
+        # but gelu and tanh raised numpy's RuntimeWarning (overflow or invalid value) here.
+        with pytest.raises(ad.NonFiniteError):
+            call(lambda values: ad.Tensor(np.array(values, np.float32)))
 
     def test_shape_mismatch(self):
         with pytest.raises(ad.ShapeError):

@@ -76,6 +76,12 @@ def _uppercase_surface(lines):
     lines[2] = json.dumps(record)
 
 
+def _extra_token_key(lines):
+    record = json.loads(lines[2])
+    record["tokens"][-1]["x"] = 1
+    lines[2] = json.dumps(record)
+
+
 def _twin_of_train_row(lines):
     """The last twin renamed as a twin of the first train row, with that row's label."""
     record = json.loads(lines[-1])
@@ -162,6 +168,7 @@ def _set(index, key, value):
     (_drop_provenance, "line 1: malformed header: missing 'provenance'"),
     (_header("lexicon", {}), "line 1: malformed header: unknown key 'lexicon'"),
     (_set(1, "pair_id", None), "line 2: unknown record key 'pair_id'"),
+    (_extra_token_key, "line 3: example poms-000001: unknown token key 'x'"),
 ], ids=["no-seed", "string-provenance", "list-header", "string-label-names", "string-domains",
         "int-in-concepts", "string-seed", "bool-seed", "negative-seed", "int-bias-version", "list-provenance",
         "list-record", "list-concepts",
@@ -170,7 +177,7 @@ def _set(index, key, value):
         "twin-of-unknown-concept", "twin-of-train-row", "float-label", "string-label", "bool-label",
         "float-concept", "bool-concept", "int-domain", "twin-label", "unknown-concept", "twin-domain",
         "twin-other-concept", "unknown-domain", "no-tokens", "unknown-slot", "no-provenance",
-        "extra-header-key", "extra-record-key"])
+        "extra-header-key", "extra-record-key", "extra-token-key"])
 def test_read_jsonl_rejects_malformed_file(tmp_path, corrupt, match):
     path = tmp_path / "corpus.jsonl"
     write_jsonl(generate_poms_corpus(n=50, seed=8), path)
@@ -245,9 +252,12 @@ def _sealed(manifest, config, arrays):
     (_sealed({"config": [1, 2], "tensors": [_entry()]}, [1, 2], {"w": np.zeros(2, "<f4")}),
      r"config \[1, 2\] is not a JSON object"),
     (_sealed({"tensors": [_entry()]}, {}, {"w": np.zeros(2, "<f4")}), "config None is not a JSON object"),
+    # A config that save_checkpoint refuses; it loaded as {'k': nan}.
+    (_sealed({"config": {"k": float("nan")}, "tensors": [_entry()]}, {"k": float("nan")},
+             {"w": np.zeros(2, "<f4")}), "bad manifest: NaN is not JSON"),
 ], ids=["no-tensors", "list-manifest", "tensor-dict", "list-entry", "no-shape", "list-name",
         "list-dtype", "string-shape", "float-shape", "negative-shape", "overrun", "dup-name",
-        "list-config", "no-config"])
+        "list-config", "no-config", "nan-config"])
 def test_load_checkpoint_rejects_malformed_manifest(tmp_path, manifest, match):
     path = tmp_path / "bad.ckpt"
     raw = json.dumps(manifest).encode("utf-8")

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conceptfx.autodiff import Tensor
+from conceptfx.autodiff import Tape, Tensor, mul
 from conceptfx.checkpoint import (CheckpointError, checkpoint_hash,
                                   load_checkpoint, save_checkpoint)
 from conceptfx.optim import Adam, OptimError
@@ -74,6 +74,18 @@ class TestAdam:
         np.testing.assert_array_equal(w.data, np.ones(2))
         assert opt.t == 0
         assert all(not arr.any() for arr in (*opt.m.values(), *opt.v.values()))
+
+    def test_overflowing_backward_is_reported_by_the_step(self):
+        # d(x * w * w)/dx = w * w overflows float32 while the forward stays finite; the
+        # backward pass raised numpy's RuntimeWarning under the suite's warnings-as-errors.
+        x = Tensor(np.array([1e-30], np.float32), requires_grad=True)
+        w = Tensor(np.array([1e20], np.float32), requires_grad=True)
+        with Tape() as tape:
+            loss = mul(mul(x, w), w)
+        tape.backward(loss)
+        assert np.isinf(x.grad).all()
+        with pytest.raises(OptimError, match="non-finite gradient for parameter 'x'"):
+            Adam({"x": x, "w": w}).step()
 
     @pytest.mark.parametrize("grad_shape", [(1,), (4,)])
     def test_misshapen_gradient_aborts(self, grad_shape):
