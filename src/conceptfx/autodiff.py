@@ -171,7 +171,8 @@ def _recording(*inputs: Tensor) -> bool:
 
 
 def _check_finite(data, op):
-    if not np.all(np.isfinite(data)):
+    # NaN propagates through min and max, and an inf is one of them: no full-size temporary.
+    if data.size and not (np.isfinite(data.min()) and np.isfinite(data.max())):
         raise NonFiniteError(f"op {op!r} produced non-finite values")
 
 
@@ -227,10 +228,11 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         out += bias.data
 
     def backward(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        if b.ndim == 2:
+        if b.ndim == 2:  # one 2-D product each, not one small product per batch row
+            ga = (g.reshape(-1, g.shape[-1]) @ b.data.T).reshape(a.shape)
             gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
         else:
+            ga = g @ np.swapaxes(b.data, -1, -2)
             gb = np.swapaxes(a.data, -1, -2) @ g
         return (ga, gb) if bias is None else (ga, gb, _unbroadcast(g, bias.shape))
 
@@ -460,8 +462,11 @@ def tanh(x: Tensor) -> Tensor:
 class DropoutRng:
     """Counter-based dropout stream: mask ``i`` depends only on (seed, i).
 
-    Uses the Philox counter-based bit generator so loss curves are
-    reproducible regardless of how ops interleave between steps.
+    Uses the Philox counter-based bit generator keyed by ``seed``, so loss
+    curves are reproducible regardless of how ops interleave between steps.
+    Mask ``i`` (``calls == i``) reads float32 uniforms from Philox counter
+    ``[0, i, 0, 0]`` on, and a mask steps only counter word 0, so each mask
+    has its own run of 2**64 blocks and no two masks share a draw.
     """
 
     def __init__(self, seed: int):
@@ -469,10 +474,10 @@ class DropoutRng:
         self.calls = 0
 
     def keep_mask(self, shape, keep_prob: float) -> np.ndarray:
-        bitgen = np.random.Philox(key=self.seed, counter=[self.calls, 0, 0, 0])
+        bitgen = np.random.Philox(key=self.seed, counter=[0, self.calls, 0, 0])
         self.calls += 1
         rng = np.random.Generator(bitgen)
-        return rng.random(shape) < keep_prob
+        return rng.random(shape, dtype=np.float32) < keep_prob
 
 
 @_quiet

@@ -8,10 +8,11 @@ signal beyond the emotion word.  Concept conventions: ``gender=1`` means a
 female name (and matching pronouns), ``race=1`` means an African-American name.
 
 The templates and word lists are the packaged ``data/templates.json`` and
-``data/lexicons.json``, read once at import.  Generation is a pure function
-of (bias, n, seed): every example draws from its own ``(seed, index)`` stream,
-and every counterfactual twin from one derived from ``(seed, index)`` and its
-concept.
+``data/lexicons.json``, read once at import.  The template and noise-sentence
+draw tables and every token an example can hold are built from them then too,
+once, and shared by every example.  Generation is a pure function of (bias,
+n, seed): every example draws from its own ``(seed, index)`` stream, and every
+counterfactual twin from one derived from ``(seed, index)`` and its concept.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from ..checks import integer
 from .io import load_data
 from .types import (BiasSpec, BundleMeta, CorpusBundle, CorpusError, Example,
-                    TaggedToken, assemble, template_probs, twin)
+                    TaggedToken, assemble, draw, draw_table, tagged, twin)
 
 POMS_LABELS = ("anger", "sadness", "fear", "joy")
 _CONCEPTS = ("gender", "race")
@@ -29,11 +30,10 @@ _AMBIGUOUS_RATE = 0.15  # share of emotion slots given a word shared with anothe
 _NOISE_BOOST = 5.0
 
 _LEXICONS = load_data("lexicons.json")
-# Each table is indexed by a concept bit: gender=1 is female, race=1 African-American.
-_NAMES = [[_LEXICONS["names"][g][r] for r in ("european", "african_american")] for g in ("male", "female")]
-_PRONOUNS = {"<pron>": ("he", "she"), "<refl>": ("himself", "herself")}
-_PRONOUN_FORMS = {form: forms for forms in _PRONOUNS.values() for form in forms}
+_TEMPLATES = load_data("templates.json")["templates"]
+_NOISE = _LEXICONS["noise_sentences"]
 
+_PRONOUNS = {"<pron>": ("he", "she"), "<refl>": ("himself", "herself")}
 _FILLER_SLOTS = {
     "<place>": "places",
     "<season>": "seasons",
@@ -44,20 +44,34 @@ _FILLER_SLOTS = {
     "<family>": "family",
 }
 
-_TEMPLATES = load_data("templates.json")["templates"]
-_TEMPLATE_PROBS = template_probs([t["weight"] for t in _TEMPLATES])
-_NOISE = _LEXICONS["noise_sentences"]
-_AMBIGUOUS = {label: [e["word"] for e in _LEXICONS["ambiguous_emotions"] if label in e["classes"]]
-              for label in POMS_LABELS}
+# Every token an example can hold is built here once, and examples share them.
+# The name and pronoun tables are indexed by concept bits: gender=1 is female, race=1 African-American.
+_NAME_TOKENS = [[tagged(_LEXICONS["names"][g][r], "person-name") for r in ("european", "african_american")]
+                for g in ("male", "female")]
+_PRONOUN_TOKENS = {slot: tagged(forms, "gender-pronoun") for slot, forms in _PRONOUNS.items()}
+_PRONOUN_FORMS = {tok.surface: forms for forms in _PRONOUN_TOKENS.values() for tok in forms}
+_ARTICLES = tagged(("a", "an"), "filler")  # indexed by whether the emotion word starts with a vowel
+_FILLER_TOKENS = {slot: tagged(_LEXICONS[key], "filler") for slot, key in _FILLER_SLOTS.items()}
+_EMOTION_TOKENS = {label: tagged(_LEXICONS["emotions"][label], "emotion-word") for label in POMS_LABELS}
+_AMBIGUOUS_TOKENS = {
+    label: tagged([e["word"] for e in _LEXICONS["ambiguous_emotions"] if label in e["classes"]], "emotion-word")
+    for label in POMS_LABELS}
+_NOISE_TOKENS = [tagged(sentence, "noise") for sentence in _NOISE]
+
+_SLOTS = {"<person>", "<emotion>", "<ind>", *_PRONOUN_TOKENS, *_FILLER_TOKENS}
+# Per template: its tokens, the fixed ones tagged and the slots left as "<...>" strings,
+# and whether it has an emotion slot.
+_TEMPLATE_TOKENS = [(tuple(tok if tok in _SLOTS else TaggedToken(tok, "filler") for tok in t["tokens"]),
+                     "<emotion>" in t["tokens"]) for t in _TEMPLATES]
+_TEMPLATE_CDF = draw_table([t["weight"] for t in _TEMPLATES], "template")
 
 
-def _noise_probs(label: str) -> np.ndarray:
-    w = np.ones(len(_NOISE))
-    w[_LEXICONS["label_noise_links"][label]] = _NOISE_BOOST
-    return w / w.sum()
+def _noise_cdf(label: str) -> np.ndarray:
+    boosted = _LEXICONS["label_noise_links"][label]
+    return draw_table([_NOISE_BOOST if i in boosted else 1.0 for i in range(len(_NOISE))], f"{label} noise")
 
 
-_NOISE_PROBS = {label: _noise_probs(label) for label in POMS_LABELS}
+_NOISE_CDF = {label: _noise_cdf(label) for label in POMS_LABELS}
 
 # The bias ladder: version -> (P(concept=1 | joy), P(concept=1 | any other label)).
 # balanced is uniform; gentle raises joy to 0.9; aggressive also lowers the rest to 0.1.
@@ -80,24 +94,23 @@ def expected_correlation(bias: BiasSpec) -> float:
     return cov / (var_c * var_y) ** 0.5
 
 
-def _fill_template(tokens: list[str], name: str, gender: int, emotion: str | None,
+def _fill_template(template: tuple, name: TaggedToken, gender: int, emotion: TaggedToken | None,
                    rng: np.random.Generator) -> list[TaggedToken]:
     out: list[TaggedToken] = []
-    for tok in tokens:
-        if tok == "<person>":
-            out.append(TaggedToken(name, "person-name"))
+    for tok in template:
+        if type(tok) is TaggedToken:
+            out.append(tok)
+        elif tok == "<person>":
+            out.append(name)
         elif tok == "<emotion>":
-            out.append(TaggedToken(emotion, "emotion-word"))
-        elif tok in _PRONOUNS:
-            out.append(TaggedToken(_PRONOUNS[tok][gender], "gender-pronoun"))
+            out.append(emotion)
+        elif tok in _PRONOUN_TOKENS:
+            out.append(_PRONOUN_TOKENS[tok][gender])
         elif tok == "<ind>":
-            article = "an" if emotion and emotion[0] in "aeiou" else "a"
-            out.append(TaggedToken(article, "filler"))
-        elif tok in _FILLER_SLOTS:
-            choices = _LEXICONS[_FILLER_SLOTS[tok]]
-            out.append(TaggedToken(choices[rng.integers(len(choices))], "filler"))
+            out.append(_ARTICLES[emotion is not None and emotion.surface[0] in "aeiou"])
         else:
-            out.append(TaggedToken(tok, "filler"))
+            choices = _FILLER_TOKENS[tok]
+            out.append(choices[rng.integers(len(choices))])
     return out
 
 
@@ -109,21 +122,20 @@ def _build_example(index: int, seed: int, concept: str, label_probs: tuple[float
     other = _CONCEPTS[1 - _CONCEPTS.index(concept)]
     concepts = {concept: int(rng.random() < label_probs[label_idx]),
                 other: int(rng.random() < 0.5)}
-    cell = _NAMES[concepts["gender"]][concepts["race"]]
+    cell = _NAME_TOKENS[concepts["gender"]][concepts["race"]]
     name = cell[rng.integers(len(cell))]
 
-    template = _TEMPLATES[rng.choice(len(_TEMPLATES), p=_TEMPLATE_PROBS)]["tokens"]
+    template, has_emotion = _TEMPLATE_TOKENS[draw(rng, _TEMPLATE_CDF)]
     emotion = None
-    if "<emotion>" in template:
+    if has_emotion:
         if rng.random() < _AMBIGUOUS_RATE:
-            words = _AMBIGUOUS[label]
+            words = _AMBIGUOUS_TOKENS[label]
         else:
-            words = _LEXICONS["emotions"][label]
+            words = _EMOTION_TOKENS[label]
         emotion = words[rng.integers(len(words))]
 
     core = _fill_template(template, name, concepts["gender"], emotion, rng)
-    noise_idx = int(rng.choice(len(_NOISE), p=_NOISE_PROBS[label]))
-    noise = [TaggedToken(t, "noise") for t in _NOISE[noise_idx]]
+    noise = _NOISE_TOKENS[draw(rng, _NOISE_CDF[label])]
     if rng.random() < 0.5:
         tokens = (*noise, *core)
     else:
@@ -148,15 +160,15 @@ def flip_concept(example: Example, concept: str, seed: int) -> Example:
     for c in _CONCEPTS:  # the factual's bits, before one is flipped
         integer(example.concepts.get(c), f"person concept {c!r}", CorpusError, high=2)
     concepts = {**example.concepts, concept: 1 - example.concepts[concept]}
-    cell = _NAMES[concepts["gender"]][concepts["race"]]
+    cell = _NAME_TOKENS[concepts["gender"]][concepts["race"]]
     new_name = cell[rng.integers(len(cell))]
 
     tokens = []
     for tok in example.tokens:
         if tok.slot == "person-name":
-            tokens.append(TaggedToken(new_name, "person-name"))
+            tokens.append(new_name)
         elif tok.slot == "gender-pronoun" and concept == "gender":
-            tokens.append(TaggedToken(_PRONOUN_FORMS[tok.surface][concepts["gender"]], "gender-pronoun"))
+            tokens.append(_PRONOUN_FORMS[tok.surface][concepts["gender"]])
         else:
             tokens.append(tok)
     return twin(example, concept, tuple(tokens), concepts)

@@ -1,12 +1,14 @@
 """Synthetic review-style corpus: sentiment from adjectives, topics per domain.
 
 Sentences come from the packaged frame grammar, ``data/review_grammar.json``,
-read once at import.  Its adjective slots are filled from a polarity lexicon
-matching the sentiment label, and its topic slots with a domain-planted topic
-word at the grammar's ``topic_word_rate``, a generic noun otherwise.
-Generation is a pure function of (bias, n, seed).  Each example gets an
-adjective-deletion counterfactual twin, and the adjective-to-non-adjective
-ratio drives the score-sorted bias policy of ``apply_ratio_bias``.
+read once at import.  The frame draw table and every token a review can hold
+are built from it then too, once, and shared by every review.  A frame's
+adjective slots are filled from a polarity lexicon matching the sentiment
+label, and its topic slots with a domain-planted topic word at the grammar's
+``topic_word_rate``, a generic noun otherwise.  Generation is a pure
+function of (bias, n, seed).  Each example gets an adjective-deletion
+counterfactual twin, and the adjective-to-non-adjective ratio drives the
+score-sorted bias policy of ``apply_ratio_bias``.
 """
 
 from __future__ import annotations
@@ -18,14 +20,24 @@ import numpy as np
 from ..checks import integer
 from .io import load_data
 from .types import (BIAS_VERSIONS, BiasSpec, BundleMeta, CorpusBundle, CorpusError,
-                    Example, TaggedToken, assemble, template_probs, twin)
+                    Example, TaggedToken, assemble, draw, draw_table, tagged, twin)
 
 REVIEW_LABELS = ("negative", "positive")
 DEFAULT_DOMAINS = ("books", "dvd", "electronics", "kitchen", "movies")
 
 _GRAMMAR = load_data("review_grammar.json")
-_FRAMES = [frame["tokens"] for frame in _GRAMMAR["frames"]]
-_FRAME_PROBS = template_probs([frame["weight"] for frame in _GRAMMAR["frames"]])
+_FRAMES = _GRAMMAR["frames"]
+_FRAME_CDF = draw_table([frame["weight"] for frame in _FRAMES], "frame")
+
+# Every token a review can hold is built here once, and reviews share them.
+_ADJECTIVE_TOKENS = [tagged(_GRAMMAR["adjectives"][label], "adjective") for label in REVIEW_LABELS]
+_TOPIC_TOKENS = {domain: tagged(words, "topic-word") for domain, words in _GRAMMAR["topic_words"].items()}
+_NOUN_TOKENS = tagged(_GRAMMAR["generic_nouns"], "filler")
+# Per frame: its tokens, the fixed ones tagged and "<adj>" / "<topic>" left as strings,
+# and its number of adjective slots.
+_FRAME_TOKENS = [(tuple(tok if tok in ("<adj>", "<topic>") else TaggedToken(tok, "filler")
+                        for tok in frame["tokens"]), frame["tokens"].count("<adj>"))
+                 for frame in _FRAMES]
 
 
 def _token_ratio(tokens: tuple[TaggedToken, ...], example_id: str) -> float:
@@ -102,27 +114,22 @@ def _build_review(index: int, seed: int) -> tuple[str, int, tuple[TaggedToken, .
     rng = np.random.default_rng(np.random.SeedSequence((seed, 11, index)))
     domain = DEFAULT_DOMAINS[rng.integers(len(DEFAULT_DOMAINS))]
     label = int(rng.integers(2))
-    frame = _FRAMES[rng.choice(len(_FRAMES), p=_FRAME_PROBS)]
+    frame, n_adj = _FRAME_TOKENS[draw(rng, _FRAME_CDF)]
 
-    pool = _GRAMMAR["adjectives"][REVIEW_LABELS[label]]
-    n_adj = frame.count("<adj>")
-    adj_choice = list(rng.choice(len(pool), size=n_adj, replace=False)) if n_adj else []
+    pool = _ADJECTIVE_TOKENS[label]
+    adjectives = iter(rng.choice(len(pool), size=n_adj, replace=False)) if n_adj else None
 
     tokens: list[TaggedToken] = []
-    adj_i = 0
     for tok in frame:
-        if tok == "<adj>":
-            tokens.append(TaggedToken(pool[adj_choice[adj_i]], "adjective"))
-            adj_i += 1
-        elif tok == "<topic>":
-            if rng.random() < _GRAMMAR["topic_word_rate"]:
-                words = _GRAMMAR["topic_words"][domain]
-                tokens.append(TaggedToken(words[rng.integers(len(words))], "topic-word"))
-            else:
-                nouns = _GRAMMAR["generic_nouns"]
-                tokens.append(TaggedToken(nouns[rng.integers(len(nouns))], "filler"))
+        if type(tok) is TaggedToken:
+            tokens.append(tok)
+        elif tok == "<adj>":
+            tokens.append(pool[next(adjectives)])
+        elif rng.random() < _GRAMMAR["topic_word_rate"]:
+            words = _TOPIC_TOKENS[domain]
+            tokens.append(words[rng.integers(len(words))])
         else:
-            tokens.append(TaggedToken(tok, "filler"))
+            tokens.append(_NOUN_TOKENS[rng.integers(len(_NOUN_TOKENS))])
 
     return domain, label, tuple(tokens)
 

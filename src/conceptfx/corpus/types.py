@@ -46,10 +46,32 @@ class TaggedToken(NamedTuple):
     slot: str
 
 
-def template_probs(weights: list[float]) -> np.ndarray:
-    """The probability of drawing each template or frame, proportional to its weight."""
-    weights = np.array(weights, dtype=float)
-    return weights / weights.sum()
+def tagged(surfaces: Iterable[str], slot: str) -> tuple[TaggedToken, ...]:
+    """One ``TaggedToken`` per surface, all of kind ``slot``."""
+    return tuple(TaggedToken(surface, slot) for surface in surfaces)
+
+
+def draw_table(weights: list[float], what: str) -> np.ndarray:
+    """The read-only cumulative table ``draw`` samples entries from, each with
+    probability proportional to its weight.
+
+    It is built as ``Generator.choice(len(p), p=p)`` builds its own from
+    ``p = w / w.sum()``, so ``draw`` gives choice's index from the same stream.
+    Weights must be finite and positive (``CorpusError`` names ``what``).
+    """
+    w = np.array(weights, dtype=float)
+    if w.ndim != 1 or not w.size or not np.all(np.isfinite(w)) or not np.all(w > 0):
+        raise CorpusError(f"{what} weights must be finite and positive, got {weights!r}")
+    cdf = (w / w.sum()).cumsum()
+    cdf /= cdf[-1]
+    cdf.flags.writeable = False
+    return cdf
+
+
+def draw(rng: np.random.Generator, cdf: np.ndarray) -> int:
+    """An index drawn from a ``draw_table``: the index, and the stream position after it,
+    of ``rng.choice(len(p), p=p)``, from one uniform and no per-draw table."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 @dataclass(frozen=True)

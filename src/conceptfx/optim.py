@@ -17,8 +17,9 @@ _EPS, _BETA1, _BETA2 = 1e-8, 0.9, 0.999
 
 
 class OptimError(Exception):
-    """Raised for a bad learning rate, or when a step cannot be applied
-    (a non-finite gradient or one shaped unlike its parameter)."""
+    """Raised for a bad learning rate, or when a step cannot be applied (a
+    gradient that is non-finite, too large to square, or shaped unlike its
+    parameter)."""
 
 
 class Adam:
@@ -38,17 +39,26 @@ class Adam:
     def step(self):
         """Update every parameter that has a gradient, in place.
 
-        A non-finite gradient, or one shaped unlike its parameter, aborts the
-        whole step (``t`` and every parameter are untouched) with a diagnostic
-        naming the offending parameter.
+        A gradient that is non-finite, shaped unlike its parameter, or so large
+        that its square overflows its float dtype (which would pin ``v`` at inf
+        and the parameter with it) aborts the whole step: ``t``, ``m``, ``v``
+        and every parameter are untouched, and the diagnostic names the
+        offending parameter.
         """
         live = [(name, p) for name, p in self.params.items() if p.grad is not None]
         for name, p in live:
-            if p.grad.shape != p.data.shape:
-                raise OptimError(f"gradient shape {p.grad.shape} for parameter {name!r} "
+            g = p.grad
+            if g.shape != p.data.shape:
+                raise OptimError(f"gradient shape {g.shape} for parameter {name!r} "
                                  f"does not match its shape {p.data.shape}; step aborted")
-            if not np.all(np.isfinite(p.grad)):
+            if not g.size:
+                continue
+            peak = max(-g.min(), g.max())  # NaN propagates through min and max; no full-size temporary
+            if not np.isfinite(peak):
                 raise OptimError(f"non-finite gradient for parameter {name!r}; step aborted")
+            if g.dtype.kind == "f" and peak > np.sqrt(np.finfo(g.dtype).max):
+                raise OptimError(f"gradient for parameter {name!r} reaches {peak:.3g}, "
+                                 f"whose square overflows {g.dtype}; step aborted")
         self.t += 1
         bc1 = 1.0 - _BETA1**self.t
         bc2 = 1.0 - _BETA2**self.t

@@ -100,6 +100,50 @@ class TestPrimitiveValues:
         with pytest.raises(ad.NonFiniteError):
             call(lambda values: ad.Tensor(np.array(values, np.float32)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("at", [0, 777, -1], ids=["first", "middle", "last"])
+    def test_check_finite_finds_one_bad_entry(self, value, at):
+        data = np.zeros((64, 32), np.float32)
+        data.reshape(-1)[at] = value
+        with pytest.raises(ad.NonFiniteError, match="'probe'"):
+            ad._check_finite(data, "probe")
+
+    def test_overflow_and_negative_inf_outputs_raise(self):
+        with pytest.raises(ad.NonFiniteError, match="'scale'"):
+            ad.scale(ad.Tensor(np.array([3e38], np.float32)), 10.0)
+        with pytest.raises(ad.NonFiniteError, match="'scale'"):
+            ad.scale(ad.Tensor(np.array([1.0, 3e38], np.float32)), -10.0)
+
+    def test_empty_output_is_finite(self):
+        # An MLM batch with no masked position gathers no rows.
+        x = ad.Tensor(np.ones((2, 3, 4), np.float32))
+        out = ad.gather_positions(x, np.zeros(0, np.int64), np.zeros(0, np.int64))
+        assert out.shape == (0, 4)
+
+    def test_check_finite_allocates_nothing_output_sized(self):
+        # np.all(np.isfinite(data)) built a boolean array a quarter of a float32 output.
+        data = np.random.default_rng(2).standard_normal((64, 32, 256)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ad._check_finite(data, "probe")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * data.nbytes, f"_check_finite peaked at {peak} bytes"
+
+    @pytest.mark.parametrize("batch", [8, 32, 128])
+    @pytest.mark.parametrize("d, n", [(64, 64), (64, 256), (256, 64)])
+    def test_matmul_input_gradient_has_the_bits_of_the_batched_product(self, batch, d, n):
+        # Under a 2-D b the input gradient is one 2-D product, not one product per batch row.
+        rng = np.random.default_rng(batch + d + n)
+        a = ad.Tensor(rng.standard_normal((batch, 32, d)), requires_grad=True, dtype=np.float32)
+        b = ad.Tensor(rng.standard_normal((d, n)), requires_grad=True, dtype=np.float32)
+        g = rng.standard_normal((batch, 32, n)).astype(np.float32)
+        _, (ga, _) = _forward_and_grads(ad.matmul, (a, b), g)
+        assert ga.shape == a.shape
+        assert ga.tobytes() == (g @ np.swapaxes(b.data, -1, -2)).tobytes()
+
     def test_shape_mismatch(self):
         with pytest.raises(ad.ShapeError):
             ad.matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 3))))
@@ -189,6 +233,28 @@ class TestPrimitiveValues:
         np.testing.assert_array_equal(a.data, b.data)
         c = ad.dropout(x, 0.5, r1)
         assert not np.array_equal(a.data, c.data)
+
+    def test_consecutive_dropout_masks_share_no_draws(self):
+        # Mask i started at Philox counter [i, 0, 0, 0], four draws into mask i - 1's
+        # stream, so mask i + 1 was mask i shifted by four positions.
+        rng = ad.DropoutRng(1)
+        a, b = (rng.keep_mask((10 ** 5,), 0.5) for _ in range(2))
+        for shift in range(1, 65):
+            for first, second in ((a, b), (b, a)):
+                agree = np.mean(first[shift:] == second[:-shift])
+                assert agree <= 0.6, f"masks agree on {agree:.3f} of positions at shift {shift}"
+
+    def test_dropout_mask_keeps_its_rate(self):
+        kept = ad.DropoutRng(1).keep_mask((10 ** 5,), 0.5).mean()
+        assert abs(kept - 0.5) <= 5 * (0.25 / 10 ** 5) ** 0.5
+
+    def test_dropout_mask_depends_only_on_seed_and_call_index(self):
+        rng = ad.DropoutRng(5)
+        masks = [rng.keep_mask((10 ** 5,), 0.5) for _ in range(4)]
+        for i, mask in enumerate(masks):
+            fresh = ad.DropoutRng(5)
+            fresh.calls = i
+            np.testing.assert_array_equal(fresh.keep_mask((10 ** 5,), 0.5), mask)
 
     @pytest.mark.parametrize("p", ["x", 1.0, -0.1, float("nan")])
     def test_dropout_probability_must_be_a_real_in_unit_interval(self, p):
@@ -464,9 +530,10 @@ class TestAllocation:
 
     @pytest.mark.parametrize("op", ["gelu", "layer_norm"])
     def test_untaped_peak_is_near_the_output(self, op):
-        # Whole-array temporaries made these 3.00x (gelu) and 2.26x (layer_norm).
+        # Whole-array temporaries made these 3.00x (gelu) and 2.26x (layer_norm), and the
+        # finiteness check's boolean array 1.38x (both).
         _, peak, _ = self._traced(self._call(op))
-        assert peak < 1.5, f"untaped {op} peaked at {peak:.2f}x its output"
+        assert peak < 1.2, f"untaped {op} peaked at {peak:.2f}x its output"
 
     @pytest.mark.parametrize("op", ["gelu", "layer_norm"])
     def test_taped_call_keeps_its_backward_arrays(self, op):

@@ -14,10 +14,10 @@ from conceptfx.corpus import (BiasSpec, BundleMeta, CorpusBundle, CorpusError,
                               apply_ratio_bias, delete_adjectives, flip_concept,
                               generate_poms_corpus, generate_review_corpus,
                               measure_correlation, read_jsonl, write_jsonl)
-from conceptfx.corpus import poms
+from conceptfx.corpus import poms, reviews
 from conceptfx.corpus.io import load_data
 from conceptfx.corpus.poms import _FILLER_SLOTS, _PRONOUNS
-from conceptfx.corpus.types import BIAS_VERSIONS, split_sizes, twin_origin
+from conceptfx.corpus.types import BIAS_VERSIONS, draw, draw_table, split_sizes, twin_origin
 from conceptfx.model import EncoderConfig
 
 NAMES = load_data("lexicons.json")["names"]
@@ -345,6 +345,42 @@ def with_gender(bundle, gender):
     def split(examples):
         return [replace(ex, concepts={**ex.concepts, "gender": gender(ex)}) for ex in examples]
     return replace(bundle, train=split(bundle.train), dev=split(bundle.dev), test=split(bundle.test))
+
+
+def _packaged_tables():
+    """(name, probabilities from the packaged weights, the generator's table) of every draw table."""
+    lexicons = load_data("lexicons.json")
+    tables = [("templates", [t["weight"] for t in load_data("templates.json")["templates"]], poms._TEMPLATE_CDF),
+              ("frames", [f["weight"] for f in load_data("review_grammar.json")["frames"]], reviews._FRAME_CDF)]
+    for label, boosted in lexicons["label_noise_links"].items():
+        weights = np.ones(len(lexicons["noise_sentences"]))
+        weights[boosted] = poms._NOISE_BOOST
+        tables.append((f"{label} noise", weights, poms._NOISE_CDF[label]))
+    return [(name, np.asarray(w, float) / np.sum(w), cdf) for name, w, cdf in tables]
+
+
+PACKAGED_TABLES = _packaged_tables()
+
+
+class TestDrawTables:
+    @pytest.mark.parametrize("name, p, cdf", PACKAGED_TABLES, ids=[name for name, _, _ in PACKAGED_TABLES])
+    def test_draw_is_choice(self, name, p, cdf):
+        # Same index, and the stream left where numpy's choice leaves it.
+        for seed in range(1000):
+            ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert draw(ours, cdf) == numpys.choice(len(p), p=p), (name, seed)
+            assert ours.random() == numpys.random(), (name, seed)
+
+    @pytest.mark.parametrize("weights", [[1.0, 0.0], [1.0, -2.0], [1.0, float("nan")], [float("inf"), 1.0], [],
+                                         [[1.0, 2.0]]],
+                             ids=["zero", "negative", "nan", "inf", "empty", "2-d"])
+    def test_bad_weights_are_rejected(self, weights):
+        with pytest.raises(CorpusError, match="^probe weights must be finite and positive"):
+            draw_table(weights, "probe")
+
+    def test_tables_are_read_only(self):
+        with pytest.raises(ValueError):
+            poms._TEMPLATE_CDF[0] = 0.5
 
 
 class TestCorrelation:

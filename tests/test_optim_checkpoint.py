@@ -87,6 +87,26 @@ class TestAdam:
         with pytest.raises(OptimError, match="non-finite gradient for parameter 'x'"):
             Adam({"x": x, "w": w}).step()
 
+    def test_gradient_whose_square_overflows_aborts(self):
+        # (g * g) overflowed float32: v went to inf and froze the entry, and under the suite's
+        # warnings-as-errors numpy's RuntimeWarning fired after t and m had already changed.
+        p = Tensor(np.ones(2, np.float32), requires_grad=True)
+        opt = Adam({"p": p})
+        p.grad = np.array([1e20, 1.0], np.float32)
+        with pytest.raises(OptimError, match=r"gradient for parameter 'p' reaches 1e\+20"):
+            opt.step()
+        np.testing.assert_array_equal(p.data, np.ones(2, np.float32))
+        assert opt.t == 0
+        assert not opt.m["p"].any() and not opt.v["p"].any()
+
+    def test_large_finite_gradient_steps(self):
+        p = Tensor(np.ones(2, np.float32), requires_grad=True)
+        opt = Adam({"p": p})
+        p.grad = np.array([1e18, -1.0], np.float32)
+        opt.step()
+        assert opt.t == 1 and np.isfinite(opt.v["p"]).all()
+        np.testing.assert_allclose(p.data, [1 - 1e-3, 1 + 1e-3], rtol=1e-6)
+
     @pytest.mark.parametrize("grad_shape", [(1,), (4,)])
     def test_misshapen_gradient_aborts(self, grad_shape):
         a = Tensor(np.ones(3), requires_grad=True)

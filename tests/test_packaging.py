@@ -1,8 +1,8 @@
 """Every console script that pyproject.toml declares can be imported,
 ``conceptfx.checks`` holds the package's only argument rule, ``corpus/poms.py``
 is the only module naming a POMS label, no module imports ``warnings``,
-``autodiff.py`` alone sets numpy's error state, and no module calls
-``hasattr``."""
+``autodiff.py`` alone sets numpy's error state, no module calls ``hasattr``,
+and the corpus makes no weighted ``choice`` draw."""
 
 import ast
 import importlib
@@ -106,4 +106,19 @@ def test_package_never_duck_types():
     # attribute is a second code path that only tests reach.
     users = [path.relative_to(PACKAGE).as_posix() for path in sorted(PACKAGE.rglob("*.py"))
              if _calls_hasattr(path)]
+    assert users == []
+
+
+def _draws_weighted_choice(path: Path) -> bool:
+    """Whether ``path`` calls a ``choice`` method with a ``p`` keyword."""
+    return any(isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "choice"
+               and any(keyword.arg == "p" for keyword in node.keywords)
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+
+
+def test_corpus_makes_no_weighted_choice_draw():
+    # Generator.choice(p=...) checks and sums its table again on every draw; the generators
+    # build each table once with types.draw_table and draw from it with types.draw.
+    users = [path.relative_to(PACKAGE).as_posix() for path in sorted((PACKAGE / "corpus").rglob("*.py"))
+             if _draws_weighted_choice(path)]
     assert users == []
